@@ -4,6 +4,7 @@
 // on these numbers.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 
 #include "bench/bench_util.h"
@@ -68,12 +69,15 @@ void BM_SimMapFind(benchmark::State& state) {
   d.impl = MapImpl::kNicFixedBucket;
   SimMap m(d);
   for (uint64_t k = 1; k <= 4096; ++k) {
-    m.Insert({k, k + 1}, {k});
+    uint64_t keys[] = {k, k + 1};
+    uint64_t value[] = {k};
+    m.Insert(keys, value);
   }
   uint64_t k = 1;
-  std::vector<uint64_t> out;
+  uint64_t out[1];
   for (auto _ : state) {
-    auto r = m.Find({k, k + 1}, &out);
+    uint64_t keys[] = {k, k + 1};
+    auto r = m.Find(keys, out);
     benchmark::DoNotOptimize(r.found);
     k = k % 4096 + 1;
   }
@@ -461,6 +465,77 @@ void EmitParallelComparison() {
       .Num("speedup_capped", cap(int8_speedup));
 }
 
+// The profile stage's two costs, per element class: interpreting a trace
+// (ns per packet) and generating it (us per 4000-packet trace), each the
+// best of kRounds fresh runs with the median and spread ((Q3 - Q1) /
+// median) beside it. Report-only rows: absolute times from one machine are
+// not a cross-machine gate, so bench/baselines does not carry them.
+void EmitProfileRows() {
+  bench::JsonRows rows("micro_kernels_profile");
+  constexpr int kRounds = 9;
+  constexpr size_t kPackets = 4000;
+  struct Stats {
+    double best, median, spread;
+  };
+  auto stats_of = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    double median = v[v.size() / 2];
+    double spread = median > 0 ? (v[v.size() * 3 / 4] - v[v.size() / 4]) / median : 0;
+    return Stats{v.front(), median, spread};
+  };
+  auto elapsed_ns = [](std::chrono::steady_clock::time_point t0) {
+    return std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  const std::pair<const char*, WorkloadSpec> flows[] = {
+      {"small", WorkloadSpec::SmallFlows()}, {"large", WorkloadSpec::LargeFlows()}};
+  for (const auto& [flow, spec] : flows) {
+    std::vector<double> us;
+    for (int r = 0; r < kRounds; ++r) {
+      auto t0 = std::chrono::steady_clock::now();
+      Trace t = GenerateTrace(spec, kPackets);
+      benchmark::DoNotOptimize(t.packets.data());
+      us.push_back(elapsed_ns(t0) / 1000.0);
+    }
+    Stats st = stats_of(us);
+    std::printf("trace_gen_us %-5s best %8.1f  median %8.1f  spread %.2f\n", flow, st.best,
+                st.median, st.spread);
+    rows.Row()
+        .Str("phase", "trace_gen_us")
+        .Str("flows", flow)
+        .Num("us_best", st.best)
+        .Num("us_median", st.median)
+        .Num("spread", st.spread);
+  }
+  // One element per class of the registry: stateless header rewrite, array
+  // state, flow-keyed maps, payload scan, accelerator-eligible sketch.
+  for (const char* element : {"anonipaddr", "aggcounter", "mazunat", "dpi", "cmsketch"}) {
+    for (const auto& [flow, spec] : flows) {
+      Trace trace = GenerateTrace(spec, kPackets);
+      std::vector<double> ns;
+      for (int r = 0; r < kRounds; ++r) {
+        NfInstance nf(MakeElementByName(element));
+        std::vector<Packet> packets = trace.packets;
+        auto t0 = std::chrono::steady_clock::now();
+        for (auto& pkt : packets) {
+          nf.Process(pkt);
+        }
+        ns.push_back(elapsed_ns(t0) / static_cast<double>(kPackets));
+      }
+      Stats st = stats_of(ns);
+      std::printf("profile_ns_per_packet %-10s %-5s best %7.1f  median %7.1f  spread %.2f\n",
+                  element, flow, st.best, st.median, st.spread);
+      rows.Row()
+          .Str("phase", "profile_ns_per_packet")
+          .Str("element", element)
+          .Str("flows", flow)
+          .Num("ns_best", st.best)
+          .Num("ns_median", st.median)
+          .Num("spread", st.spread);
+    }
+  }
+}
+
 }  // namespace clara
 
 int main(int argc, char** argv) {
@@ -481,5 +556,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   clara::EmitParallelComparison();
+  clara::EmitProfileRows();
   return 0;
 }

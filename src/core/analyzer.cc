@@ -132,13 +132,23 @@ OffloadingInsights ClaraAnalyzer::Analyze(Program program, const WorkloadSpec& w
 OffloadingInsights ClaraAnalyzer::Analyze(Program program, const WorkloadSpec& workload,
                                           const NfPrediction* precomputed) const {
   obs::StageTimer analyze_timer("core.analyzer.analyze", "core.analyzer.stage_ms.analyze");
-  OffloadingInsights out;
-  out.nf_name = program.name;
-
   NfInstance nf = [&] {
     obs::StageTimer t("core.analyzer.lower", "core.analyzer.stage_ms.lower");
     return NfInstance(std::move(program));
   }();
+  return AnalyzeLowered(nf, workload, precomputed);
+}
+
+OffloadingInsights ClaraAnalyzer::Analyze(NfInstance& nf, const WorkloadSpec& workload,
+                                          const NfPrediction* precomputed) const {
+  obs::StageTimer analyze_timer("core.analyzer.analyze", "core.analyzer.stage_ms.analyze");
+  return AnalyzeLowered(nf, workload, precomputed);
+}
+
+OffloadingInsights ClaraAnalyzer::AnalyzeLowered(NfInstance& nf, const WorkloadSpec& workload,
+                                                 const NfPrediction* precomputed) const {
+  OffloadingInsights out;
+  out.nf_name = nf.program().name;
   if (!nf.ok()) {
     return out;
   }

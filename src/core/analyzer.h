@@ -18,6 +18,8 @@
 
 namespace clara {
 
+class NfInstance;
+
 struct OffloadingInsights {
   std::string nf_name;
   // §3: predicted performance parameters.
@@ -97,6 +99,12 @@ class ClaraAnalyzer {
   OffloadingInsights Analyze(Program program, const WorkloadSpec& workload,
                              const NfPrediction* precomputed) const;
 
+  // Analyze an already lowered NF (the serving engine lowers once for both
+  // inference and analysis). `nf` must be freshly built: profiling runs the
+  // workload through it.
+  OffloadingInsights Analyze(NfInstance& nf, const WorkloadSpec& workload,
+                             const NfPrediction* precomputed) const;
+
   // Selects the LSTM inference backend for all subsequent Analyze calls
   // (src/ml/infer.h); the serve engine applies ServeOptions.infer_backend
   // through this.
@@ -111,6 +119,10 @@ class ClaraAnalyzer {
   const SynthProfile& synth_profile() const { return synth_profile_; }
 
  private:
+  // The stages after lowering, shared by the Analyze overloads.
+  OffloadingInsights AnalyzeLowered(NfInstance& nf, const WorkloadSpec& workload,
+                                    const NfPrediction* precomputed) const;
+
   AnalyzerOptions opts_;
   PerfModel perf_model_;
   SynthProfile synth_profile_;

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <utility>
 
+#include "src/ir/packet_fields.h"
+
 namespace clara {
 
 uint32_t IrBuilder::NewBlock(const std::string& label, int ast_region) {
@@ -103,7 +105,7 @@ void IrBuilder::StoreStack(uint32_t slot, Value v) {
 Value IrBuilder::LoadPacket(uint32_t field, Value dyn_index) {
   Instruction i;
   i.op = Opcode::kLoad;
-  i.type = module_.packet_fields[field].type;
+  i.type = kPacketFields[field].type;
   i.result = NextReg();
   i.space = AddressSpace::kPacket;
   i.sym = field;
@@ -118,7 +120,7 @@ Value IrBuilder::LoadPacket(uint32_t field, Value dyn_index) {
 void IrBuilder::StorePacket(uint32_t field, Value v, Value dyn_index) {
   Instruction i;
   i.op = Opcode::kStore;
-  i.type = module_.packet_fields[field].type;
+  i.type = kPacketFields[field].type;
   i.space = AddressSpace::kPacket;
   i.sym = field;
   i.operands = {v};

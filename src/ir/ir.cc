@@ -2,18 +2,6 @@
 
 namespace clara {
 
-int BitWidth(Type t) {
-  switch (t) {
-    case Type::kVoid: return 0;
-    case Type::kI1: return 1;
-    case Type::kI8: return 8;
-    case Type::kI16: return 16;
-    case Type::kI32: return 32;
-    case Type::kI64: return 64;
-  }
-  return 0;
-}
-
 const char* TypeName(Type t) {
   switch (t) {
     case Type::kVoid: return "void";
@@ -137,15 +125,6 @@ int Module::FindState(const std::string& name) const {
   return -1;
 }
 
-int Module::FindPacketField(const std::string& name) const {
-  for (size_t i = 0; i < packet_fields.size(); ++i) {
-    if (packet_fields[i].name == name) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
 int Module::FindApi(const std::string& name) const {
   for (size_t i = 0; i < apis.size(); ++i) {
     if (apis[i].name == name) {
@@ -171,32 +150,6 @@ uint32_t Module::InternApi(const std::string& name, uint8_t num_args, Type resul
   }
   apis.push_back(ApiInfo{name, num_args, result});
   return static_cast<uint32_t>(apis.size() - 1);
-}
-
-void InstallStandardPacketFields(Module& m) {
-  m.packet_fields = {
-      {"eth.type", Type::kI16, 12},
-      {"ip.ihl", Type::kI8, 14},
-      {"ip.tos", Type::kI8, 15},
-      {"ip.len", Type::kI16, 16},
-      {"ip.ttl", Type::kI8, 22},
-      {"ip.proto", Type::kI8, 23},
-      {"ip.csum", Type::kI16, 24},
-      {"ip.src", Type::kI32, 26},
-      {"ip.dst", Type::kI32, 30},
-      {"tcp.sport", Type::kI16, 34},
-      {"tcp.dport", Type::kI16, 36},
-      {"tcp.seq", Type::kI32, 38},
-      {"tcp.ack", Type::kI32, 42},
-      {"tcp.off", Type::kI8, 46},
-      {"tcp.flags", Type::kI8, 47},
-      {"tcp.csum", Type::kI16, 48},
-      {"pkt.len", Type::kI16, 0},       // metadata pseudo-fields
-      {"pkt.payload_len", Type::kI16, 0},
-      {"pkt.in_port", Type::kI16, 0},
-      {"pkt.ts", Type::kI64, 0},
-      {"pkt.payload", Type::kI8, 54},   // byte-indexed via dynamic index
-  };
 }
 
 }  // namespace clara

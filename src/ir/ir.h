@@ -27,7 +27,17 @@ namespace clara {
 
 enum class Type : uint8_t { kVoid, kI1, kI8, kI16, kI32, kI64 };
 
-int BitWidth(Type t);
+constexpr int BitWidth(Type t) {
+  switch (t) {
+    case Type::kVoid: return 0;
+    case Type::kI1: return 1;
+    case Type::kI8: return 8;
+    case Type::kI16: return 16;
+    case Type::kI32: return 32;
+    case Type::kI64: return 64;
+  }
+  return 0;
+}
 const char* TypeName(Type t);
 
 enum class Opcode : uint8_t {
@@ -76,8 +86,8 @@ struct Instruction {
   uint32_t result = 0;       // defined register (0 = none; register 0 unused)
   std::vector<Value> operands;
 
-  // Memory metadata (kLoad/kStore). `sym` indexes the per-space symbol table
-  // in Function (stack slots) or Module (packet fields / state vars). For
+  // Memory metadata (kLoad/kStore). `sym` indexes the per-space symbol table:
+  // Function::slots, kPacketFields (src/ir/packet_fields.h) or Module::state. For
   // state arrays, operands[index] holds the dynamic element index when
   // has_dyn_index; `offset` is a constant byte offset within the element.
   AddressSpace space = AddressSpace::kNone;
@@ -132,13 +142,6 @@ struct StateVar {
   uint32_t ElementBytes() const;
 };
 
-// A packet field exposed to NF programs (e.g. "ip.src").
-struct PacketFieldInfo {
-  std::string name;
-  Type type = Type::kI16;
-  uint16_t byte_offset = 0;  // offset in the logical wire layout
-};
-
 // A framework API callable from NF programs.
 struct ApiInfo {
   std::string name;
@@ -158,23 +161,17 @@ struct Function {
 struct Module {
   std::string name;
   std::vector<StateVar> state;
-  std::vector<PacketFieldInfo> packet_fields;
   std::vector<ApiInfo> apis;
   std::vector<Function> functions;
 
   // Returns the index of the named entity, or -1.
   int FindState(const std::string& name) const;
-  int FindPacketField(const std::string& name) const;
   int FindApi(const std::string& name) const;
   const Function* FindFunction(const std::string& name) const;
 
   // Registers an API (idempotent by name) and returns its index.
   uint32_t InternApi(const std::string& name, uint8_t num_args, Type result);
 };
-
-// Installs the canonical packet-field table (eth/ip/tcp/udp fields + payload
-// bytes) into `m`. All lowered NF programs share this layout.
-void InstallStandardPacketFields(Module& m);
 
 }  // namespace clara
 

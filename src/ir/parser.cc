@@ -5,6 +5,8 @@
 #include <sstream>
 #include <vector>
 
+#include "src/ir/packet_fields.h"
+
 namespace clara {
 namespace {
 
@@ -130,7 +132,6 @@ class Parser {
 
   ParseResult Run() {
     ParseResult r;
-    InstallStandardPacketFields(r.module);
     std::istringstream in(text_);
     std::string line;
     // Pass 1: pre-register blocks per function so forward branches resolve.
@@ -315,7 +316,7 @@ class Parser {
         }
       }
     } else if (space == "pkt") {
-      int idx = m.FindPacketField(sym);
+      int idx = FindPacketFieldIndex(sym);
       if (idx < 0) {
         return false;
       }

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "src/ir/packet_fields.h"
+
 namespace clara {
 
 std::string ToString(const Value& v) {
@@ -25,7 +27,7 @@ std::string MemTarget(const Instruction& i, const Module& m, const Function& f) 
       os << "stack:" << f.slots[i.sym].name;
       break;
     case AddressSpace::kPacket:
-      os << "pkt:" << m.packet_fields[i.sym].name;
+      os << "pkt:" << kPacketFields[i.sym].name;
       break;
     case AddressSpace::kState:
       os << "state:" << m.state[i.sym].name;

@@ -3,6 +3,8 @@
 #include <set>
 #include <sstream>
 
+#include "src/ir/packet_fields.h"
+
 namespace clara {
 namespace {
 
@@ -75,7 +77,7 @@ class Verifier {
                 }
                 break;
               case AddressSpace::kPacket:
-                if (i.sym >= m_.packet_fields.size()) {
+                if (i.sym >= kNumPacketFields) {
                   Error(f, b, "packet access to invalid field ", i.sym);
                 }
                 break;

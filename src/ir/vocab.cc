@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "src/ir/packet_fields.h"
 #include "src/util/binio.h"
 
 namespace clara {
@@ -38,7 +39,7 @@ std::string AbstractInstruction(const Instruction& i, const Module& m, Abstracti
       os << OpcodeName(i.op) << "." << AddressSpaceName(i.space) << " " << TypeName(i.type);
       if (i.space == AddressSpace::kPacket) {
         // Header field names are part of the vocabulary (paper §3.2).
-        os << " " << m.packet_fields[i.sym].name;
+        os << " " << kPacketFields[i.sym].name;
       }
       if (i.has_dyn_index) {
         os << " idx";

@@ -50,6 +50,10 @@ struct Expr {
   Opcode op = Opcode::kAdd;
   std::string callee;
   std::vector<ExprPtr> args;
+
+  // Filled by NfInstance when it is built: the resolved `name` (local slot,
+  // state symbol or packet-field index) or `callee` (API id); -1 if unknown.
+  int32_t ref = -1;
 };
 
 enum class StmtKind : uint8_t {
@@ -95,6 +99,14 @@ struct Stmt {
   int block_latch = -1;
   int block_hit = -1;
   int block_miss = -1;
+
+  // Filled by NfInstance when it is built: the resolved `name` (local slot,
+  // state symbol or packet-field index) or API id of the call this statement
+  // makes, plus the local slots of a map find's `outs` and `found_local`.
+  // -1 marks an unknown name.
+  int32_t ref = -1;
+  std::vector<int32_t> out_refs;
+  int32_t found_ref = -1;
 };
 
 // Map implementation selected for lowering + interpretation (paper §3.3).

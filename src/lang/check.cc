@@ -2,18 +2,10 @@
 
 #include <map>
 
+#include "src/ir/packet_fields.h"
+
 namespace clara {
 namespace {
-
-// The standard packet-field table is defined in IR; reuse it for lookups.
-const std::vector<PacketFieldInfo>& StandardFields() {
-  static const std::vector<PacketFieldInfo> fields = [] {
-    Module m;
-    InstallStandardPacketFields(m);
-    return m.packet_fields;
-  }();
-  return fields;
-}
 
 class Checker {
  public:
@@ -84,14 +76,13 @@ class Checker {
         return e.type;
       }
       case ExprKind::kPacketField: {
-        for (const auto& f : StandardFields()) {
-          if (f.name == e.name) {
-            e.type = f.type;
-            return e.type;
-          }
+        int field = FindPacketFieldIndex(e.name);
+        if (field < 0) {
+          Error("unknown packet field '" + e.name + "'");
+          e.type = Type::kI32;
+          return e.type;
         }
-        Error("unknown packet field '" + e.name + "'");
-        e.type = Type::kI32;
+        e.type = kPacketFields[field].type;
         return e.type;
       }
       case ExprKind::kPayloadByte:
@@ -154,15 +145,11 @@ class Checker {
         break;
       case StmtKind::kAssignPacket: {
         CheckExpr(*s.e0);
-        bool known = false;
-        for (const auto& f : StandardFields()) {
-          if (f.name == s.name) {
-            known = true;
-            break;
-          }
-        }
-        if (!known) {
+        int field = FindPacketFieldIndex(s.name);
+        if (field < 0) {
           Error("unknown packet field '" + s.name + "'");
+        } else if (!kPacketFields[field].writable) {
+          Error("packet field '" + s.name + "' is read-only");
         }
         break;
       }

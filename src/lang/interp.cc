@@ -1,7 +1,9 @@
 #include "src/lang/interp.h"
 
+#include <algorithm>
 #include <cassert>
 
+#include "src/ir/packet_fields.h"
 #include "src/nf/checksum.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
@@ -21,7 +23,31 @@ uint64_t Mask(uint64_t v, Type t) {
   return v;
 }
 
+// API argument buffer: every argument is evaluated, the APIs read at most
+// the first two.
+constexpr size_t kApiArgs = 2;
+
 }  // namespace
+
+NfApi NfApiByName(std::string_view name) {
+  struct Entry {
+    std::string_view name;
+    NfApi api;
+  };
+  static constexpr Entry kApis[] = {
+      {"checksum_update", NfApi::kChecksum}, {"csum_hw", NfApi::kChecksum},
+      {"send", NfApi::kSend},                {"drop", NfApi::kDrop},
+      {"crc_hash_hw", NfApi::kCrcHash},      {"crc32_hw", NfApi::kCrc32},
+      {"lpm_hw", NfApi::kLpm},               {"flow_cache_get", NfApi::kFlowCacheGet},
+      {"flow_cache_put", NfApi::kFlowCachePut}, {"rand", NfApi::kRand},
+  };
+  for (const Entry& e : kApis) {
+    if (e.name == name) {
+      return e.api;
+    }
+  }
+  return NfApi::kNone;
+}
 
 SimMap::SimMap(const StateDecl& decl)
     : nkeys_(decl.key_fields.size()),
@@ -42,7 +68,7 @@ SimMap::SimMap(const StateDecl& decl)
   values_.assign(slot_count_ * nvals_, 0);
 }
 
-SimMap::Probe SimMap::StartProbe(const std::vector<uint64_t>& keys) const {
+SimMap::Probe SimMap::StartProbe(std::span<const uint64_t> keys) const {
   uint32_t h = MapFieldHash(keys.data(), keys.size());
   if (nic_) {
     return Probe{static_cast<uint64_t>(h % buckets_) * spb_, spb_};
@@ -54,7 +80,7 @@ uint64_t SimMap::Advance(uint64_t idx) const {
   return nic_ ? idx + 1 : (idx + 1) % slot_count_;
 }
 
-bool SimMap::KeyMatches(uint64_t idx, const std::vector<uint64_t>& keys) const {
+bool SimMap::KeyMatches(uint64_t idx, std::span<const uint64_t> keys) const {
   for (size_t i = 0; i < nkeys_; ++i) {
     if (keys_[idx * nkeys_ + i] != keys[i]) {
       return false;
@@ -63,8 +89,7 @@ bool SimMap::KeyMatches(uint64_t idx, const std::vector<uint64_t>& keys) const {
   return true;
 }
 
-SimMap::OpResult SimMap::Find(const std::vector<uint64_t>& keys,
-                              std::vector<uint64_t>* values_out) {
+SimMap::OpResult SimMap::Find(std::span<const uint64_t> keys, uint64_t* values_out) {
   OpResult r;
   Probe p = StartProbe(keys);
   uint64_t idx = p.start;
@@ -74,8 +99,7 @@ SimMap::OpResult SimMap::Find(const std::vector<uint64_t>& keys,
       r.found = true;
       r.index = idx;
       if (values_out != nullptr) {
-        values_out->assign(values_.begin() + idx * nvals_,
-                           values_.begin() + (idx + 1) * nvals_);
+        std::copy_n(values_.begin() + idx * nvals_, nvals_, values_out);
       }
       return r;
     }
@@ -90,8 +114,8 @@ SimMap::OpResult SimMap::Find(const std::vector<uint64_t>& keys,
   return r;
 }
 
-SimMap::OpResult SimMap::Insert(const std::vector<uint64_t>& keys,
-                                const std::vector<uint64_t>& values) {
+SimMap::OpResult SimMap::Insert(std::span<const uint64_t> keys,
+                                std::span<const uint64_t> values) {
   OpResult r;
   Probe p = StartProbe(keys);
   uint64_t idx = p.start;
@@ -121,7 +145,7 @@ SimMap::OpResult SimMap::Insert(const std::vector<uint64_t>& keys,
   return r;
 }
 
-SimMap::OpResult SimMap::Erase(const std::vector<uint64_t>& keys) {
+SimMap::OpResult SimMap::Erase(std::span<const uint64_t> keys) {
   OpResult r;
   Probe p = StartProbe(keys);
   uint64_t idx = p.start;
@@ -162,11 +186,123 @@ NfInstance::NfInstance(Program program, uint64_t seed)
   }
   module_ = std::move(lr.module);
   ok_ = true;
+  for (auto& s : program_.body) {
+    Resolve(*s);
+  }
+  size_t scratch = 0;
+  for (const StateDecl& d : program_.state) {
+    if (d.kind == StateKind::kMap) {
+      scratch = std::max(scratch, d.key_fields.size() + d.value_fields.size());
+    }
+  }
+  map_scratch_.assign(scratch, 0);
   locals_.assign(module_.functions[0].slots.size(), 0);
   arrays_.resize(program_.state.size());
   maps_.resize(program_.state.size());
   ResetState();
   ResetProfile();
+}
+
+int32_t NfInstance::SlotOf(const std::string& local) const {
+  const auto& slots = module_.functions[0].slots;
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (slots[i].name == local) {
+      return static_cast<int32_t>(i);
+    }
+  }
+  return -1;
+}
+
+int32_t NfInstance::InternApi(const std::string& name) {
+  for (size_t i = 0; i < apis_.size(); ++i) {
+    if (apis_[i].name == name) {
+      return static_cast<int32_t>(i);
+    }
+  }
+  apis_.push_back(ApiEntry{name, NfApiByName(name)});
+  return static_cast<int32_t>(apis_.size() - 1);
+}
+
+void NfInstance::Resolve(Expr& e) {
+  switch (e.kind) {
+    case ExprKind::kLocal:
+      e.ref = SlotOf(e.name);
+      break;
+    case ExprKind::kStateScalar:
+    case ExprKind::kStateArray:
+      e.ref = module_.FindState(e.name);
+      break;
+    case ExprKind::kPacketField: {
+      // A bare pkt.payload reference resolves to nothing and reads as 0.
+      int field = FindPacketFieldIndex(e.name);
+      e.ref = field >= 0 && kPacketFields[field].kind != PacketFieldKind::kPayload ? field : -1;
+      break;
+    }
+    case ExprKind::kCall:
+      e.ref = InternApi(e.callee);
+      break;
+    default:
+      break;
+  }
+  for (auto& a : e.args) {
+    Resolve(*a);
+  }
+}
+
+void NfInstance::Resolve(Stmt& s) {
+  switch (s.kind) {
+    case StmtKind::kDecl:
+    case StmtKind::kAssignLocal:
+    case StmtKind::kFor:
+      s.ref = SlotOf(s.name);
+      break;
+    case StmtKind::kAssignState:
+    case StmtKind::kAssignStateArr:
+    case StmtKind::kMapInsert:
+    case StmtKind::kMapErase:
+      s.ref = module_.FindState(s.name);
+      break;
+    case StmtKind::kMapFind:
+      s.ref = module_.FindState(s.name);
+      s.out_refs.clear();
+      for (const auto& out : s.outs) {
+        s.out_refs.push_back(SlotOf(out));
+      }
+      s.found_ref = s.found_local.empty() ? -1 : SlotOf(s.found_local);
+      break;
+    case StmtKind::kAssignPacket: {
+      // The checker rejects read-only fields; a payload field has no
+      // scalar member to store into.
+      int field = FindPacketFieldIndex(s.name);
+      s.ref = field >= 0 && kPacketFields[field].writable ? field : -1;
+      break;
+    }
+    case StmtKind::kApiCall:
+      s.ref = InternApi(s.callee);
+      break;
+    case StmtKind::kSend:
+      s.ref = InternApi("send");
+      break;
+    case StmtKind::kDrop:
+      s.ref = InternApi("drop");
+      break;
+    default:
+      break;
+  }
+  for (Expr* e : {s.e0.get(), s.e1.get()}) {
+    if (e != nullptr) {
+      Resolve(*e);
+    }
+  }
+  for (auto& a : s.args) {
+    Resolve(*a);
+  }
+  for (auto& b : s.body) {
+    Resolve(*b);
+  }
+  for (auto& b : s.else_body) {
+    Resolve(*b);
+  }
 }
 
 void NfInstance::ResetState() {
@@ -198,6 +334,17 @@ void NfInstance::ResetProfile() {
   profile_.state_reads.assign(nvars, 0);
   profile_.state_writes.assign(nvars, 0);
   profile_.block_var_access.assign(nblocks, std::vector<uint64_t>(nvars, 0));
+  api_counts_.assign(apis_.size(), 0);
+}
+
+const NfProfile& NfInstance::profile() const {
+  profile_.api_calls.clear();
+  for (size_t i = 0; i < apis_.size(); ++i) {
+    if (api_counts_[i] > 0) {
+      profile_.api_calls[apis_[i].name] = api_counts_[i];
+    }
+  }
+  return profile_;
 }
 
 void NfInstance::RecordStateRead(int sym, int block, uint64_t n) {
@@ -214,115 +361,81 @@ void NfInstance::RecordStateWrite(int sym, int block, uint64_t n) {
   }
 }
 
-uint64_t NfInstance::ReadPacketField(const std::string& name) const {
-  const Packet& p = *pkt_;
-  if (name == "eth.type") return p.eth_type;
-  if (name == "ip.ihl") return p.ip_ihl;
-  if (name == "ip.tos") return p.ip_tos;
-  if (name == "ip.len") return p.ip_len;
-  if (name == "ip.ttl") return p.ip_ttl;
-  if (name == "ip.proto") return p.ip_proto;
-  if (name == "ip.csum") return p.ip_checksum;
-  if (name == "ip.src") return p.src_ip;
-  if (name == "ip.dst") return p.dst_ip;
-  if (name == "tcp.sport") return p.sport;
-  if (name == "tcp.dport") return p.dport;
-  if (name == "tcp.seq") return p.tcp_seq;
-  if (name == "tcp.ack") return p.tcp_ack;
-  if (name == "tcp.off") return p.tcp_off;
-  if (name == "tcp.flags") return p.tcp_flags;
-  if (name == "tcp.csum") return p.l4_checksum;
-  if (name == "pkt.len") return p.wire_len;
-  if (name == "pkt.payload_len") return p.payload_len;
-  if (name == "pkt.in_port") return p.in_port;
-  if (name == "pkt.ts") return p.ts_ns;
-  return 0;
+void NfInstance::SetLocal(int32_t slot, uint64_t v) {
+  if (slot >= 0) {
+    locals_[slot] = Mask(v, module_.functions[0].slots[slot].type);
+  }
 }
 
-void NfInstance::WritePacketField(const std::string& name, uint64_t v) {
-  Packet& p = *pkt_;
-  if (name == "eth.type") { p.eth_type = static_cast<uint16_t>(v); return; }
-  if (name == "ip.ihl") { p.ip_ihl = static_cast<uint8_t>(v); return; }
-  if (name == "ip.tos") { p.ip_tos = static_cast<uint8_t>(v); return; }
-  if (name == "ip.len") { p.ip_len = static_cast<uint16_t>(v); return; }
-  if (name == "ip.ttl") { p.ip_ttl = static_cast<uint8_t>(v); return; }
-  if (name == "ip.proto") { p.ip_proto = static_cast<uint8_t>(v); return; }
-  if (name == "ip.csum") { p.ip_checksum = static_cast<uint16_t>(v); return; }
-  if (name == "ip.src") { p.src_ip = static_cast<uint32_t>(v); return; }
-  if (name == "ip.dst") { p.dst_ip = static_cast<uint32_t>(v); return; }
-  if (name == "tcp.sport") { p.sport = static_cast<uint16_t>(v); return; }
-  if (name == "tcp.dport") { p.dport = static_cast<uint16_t>(v); return; }
-  if (name == "tcp.seq") { p.tcp_seq = static_cast<uint32_t>(v); return; }
-  if (name == "tcp.ack") { p.tcp_ack = static_cast<uint32_t>(v); return; }
-  if (name == "tcp.off") { p.tcp_off = static_cast<uint8_t>(v); return; }
-  if (name == "tcp.flags") { p.tcp_flags = static_cast<uint8_t>(v); return; }
-  if (name == "tcp.csum") { p.l4_checksum = static_cast<uint16_t>(v); return; }
-  if (name == "pkt.in_port") { p.in_port = static_cast<uint16_t>(v); return; }
+size_t NfInstance::EvalArgs(const std::vector<ExprPtr>& exprs, int block, uint64_t* args) {
+  size_t n = 0;
+  for (const auto& a : exprs) {
+    uint64_t v = EvalExpr(*a, block);
+    if (n < kApiArgs) {
+      args[n] = v;
+    }
+    ++n;
+  }
+  return n;
 }
 
-uint64_t NfInstance::CallApi(const std::string& name, const std::vector<uint64_t>& args,
-                             int block) {
-  ++profile_.api_calls[name];
+uint64_t NfInstance::CallApi(int32_t id, const uint64_t* args, size_t nargs) {
+  ++api_counts_[id];
+  NfApi api = apis_[id].api;
   if (obs::Enabled() && obs_api_calls_ != nullptr) {
     obs_api_calls_->Add(1);
-    if (obs_drops_ != nullptr && name == "drop") {
+    if (obs_drops_ != nullptr && api == NfApi::kDrop) {
       obs_drops_->Add(1);
     }
   }
   Packet& p = *pkt_;
-  if (name == "ip_header" || name == "tcp_header" || name == "udp_header" ||
-      name == "payload") {
-    return 0;
-  }
-  if (name == "checksum_update" || name == "csum_hw") {
-    p.ip_checksum = Ipv4HeaderChecksum(p);
-    return p.ip_checksum;
-  }
-  if (name == "send") {
-    p.verdict = Packet::Verdict::kSent;
-    p.out_port = args.empty() ? 0 : static_cast<uint16_t>(args[0]);
-    ++profile_.sends;
-    return 0;
-  }
-  if (name == "drop") {
-    p.verdict = Packet::Verdict::kDropped;
-    ++profile_.drops;
-    return 0;
-  }
-  if (name == "crc_hash_hw") {
-    uint64_t key = args.empty() ? 0 : args[0];
-    uint8_t bytes[8];
-    for (int i = 0; i < 8; ++i) {
-      bytes[i] = static_cast<uint8_t>(key >> (8 * i));
+  switch (api) {
+    case NfApi::kNone:
+      return 0;
+    case NfApi::kChecksum:
+      p.ip_checksum = Ipv4HeaderChecksum(p);
+      return p.ip_checksum;
+    case NfApi::kSend:
+      p.verdict = Packet::Verdict::kSent;
+      p.out_port = nargs == 0 ? 0 : static_cast<uint16_t>(args[0]);
+      ++profile_.sends;
+      return 0;
+    case NfApi::kDrop:
+      p.verdict = Packet::Verdict::kDropped;
+      ++profile_.drops;
+      return 0;
+    case NfApi::kCrcHash: {
+      uint64_t key = nargs == 0 ? 0 : args[0];
+      uint8_t bytes[8];
+      for (int i = 0; i < 8; ++i) {
+        bytes[i] = static_cast<uint8_t>(key >> (8 * i));
+      }
+      return Crc32Bitwise(bytes, 8);
     }
-    return Crc32Bitwise(bytes, 8);
-  }
-  if (name == "crc32_hw") {
-    int len = p.PayloadPrefixLen();
-    if (!args.empty() && args[0] < static_cast<uint64_t>(len)) {
-      len = static_cast<int>(args[0]);
+    case NfApi::kCrc32: {
+      int len = p.PayloadPrefixLen();
+      if (nargs > 0 && args[0] < static_cast<uint64_t>(len)) {
+        len = static_cast<int>(args[0]);
+      }
+      return Crc32Bitwise(p.payload.data(), static_cast<size_t>(len));
     }
-    return Crc32Bitwise(p.payload.data(), static_cast<size_t>(len));
-  }
-  if (name == "lpm_hw") {
-    if (lpm_accel_ != nullptr && !args.empty()) {
-      auto hop = lpm_accel_->Lookup(static_cast<uint32_t>(args[0]));
-      return hop.has_value() ? *hop + 1 : 0;
+    case NfApi::kLpm:
+      if (lpm_accel_ != nullptr && nargs > 0) {
+        auto hop = lpm_accel_->Lookup(static_cast<uint32_t>(args[0]));
+        return hop.has_value() ? *hop + 1 : 0;
+      }
+      return 0;
+    case NfApi::kFlowCacheGet: {
+      auto it = flow_cache_.find(nargs == 0 ? 0 : args[0]);
+      return it == flow_cache_.end() ? 0 : it->second + 1;
     }
-    return 0;
-  }
-  if (name == "flow_cache_get") {
-    auto it = flow_cache_.find(args.empty() ? 0 : args[0]);
-    return it == flow_cache_.end() ? 0 : it->second + 1;
-  }
-  if (name == "flow_cache_put") {
-    if (args.size() >= 2) {
-      flow_cache_[args[0]] = args[1];
-    }
-    return 0;
-  }
-  if (name == "rand") {
-    return rng_.NextU64() & 0xffffffffULL;
+    case NfApi::kFlowCachePut:
+      if (nargs >= 2) {
+        flow_cache_[args[0]] = args[1];
+      }
+      return 0;
+    case NfApi::kRand:
+      return rng_.NextU64() & 0xffffffffULL;
   }
   return 0;
 }
@@ -331,31 +444,19 @@ uint64_t NfInstance::EvalExpr(const Expr& e, int block) {
   switch (e.kind) {
     case ExprKind::kIntLit:
       return Mask(e.value, e.type);
-    case ExprKind::kLocal: {
-      int slot = -1;
-      const auto& slots = module_.functions[0].slots;
-      for (size_t i = 0; i < slots.size(); ++i) {
-        if (slots[i].name == e.name) {
-          slot = static_cast<int>(i);
-          break;
-        }
-      }
-      return slot >= 0 ? locals_[slot] : 0;
-    }
-    case ExprKind::kStateScalar: {
-      int sym = module_.FindState(e.name);
-      RecordStateRead(sym, block);
-      return Mask(arrays_[sym][0], e.type);
-    }
+    case ExprKind::kLocal:
+      return e.ref >= 0 ? locals_[e.ref] : 0;
+    case ExprKind::kStateScalar:
+      RecordStateRead(e.ref, block);
+      return Mask(arrays_[e.ref][0], e.type);
     case ExprKind::kStateArray: {
-      int sym = module_.FindState(e.name);
       uint64_t idx = EvalExpr(*e.args[0], block);
-      RecordStateRead(sym, block);
-      const auto& arr = arrays_[sym];
+      RecordStateRead(e.ref, block);
+      const auto& arr = arrays_[e.ref];
       return arr.empty() ? 0 : Mask(arr[idx % arr.size()], e.type);
     }
     case ExprKind::kPacketField:
-      return Mask(ReadPacketField(e.name), e.type);
+      return e.ref >= 0 ? Mask(LoadPacketMember(*pkt_, kPacketFields[e.ref]), e.type) : 0;
     case ExprKind::kPayloadByte: {
       uint64_t idx = EvalExpr(*e.args[0], block);
       return pkt_->payload[idx % kMaxPayloadPrefix];
@@ -406,11 +507,9 @@ uint64_t NfInstance::EvalExpr(const Expr& e, int block) {
     case ExprKind::kCast:
       return Mask(EvalExpr(*e.args[0], block), e.type);
     case ExprKind::kCall: {
-      std::vector<uint64_t> args;
-      for (const auto& a : e.args) {
-        args.push_back(EvalExpr(*a, block));
-      }
-      return Mask(CallApi(e.callee, args, block), e.type);
+      uint64_t args[kApiArgs] = {};
+      size_t nargs = EvalArgs(e.args, block, args);
+      return Mask(CallApi(e.ref, args, nargs), e.type);
     }
   }
   return 0;
@@ -446,8 +545,19 @@ void NfInstance::AttributeMapOp(const Stmt& s, const SimMap::OpResult& r, size_t
   }
 }
 
-NfInstance::Flow NfInstance::ExecBody(std::vector<StmtPtr>& body) {
-  for (auto& s : body) {
+void NfInstance::EvalMapFields(const Stmt& s, const StateDecl& d, size_t nvalues) {
+  size_t nkeys = d.key_fields.size();
+  for (size_t i = 0; i < nkeys; ++i) {
+    map_scratch_[i] = Mask(EvalExpr(*s.args[i], s.block), d.key_fields[i]);
+  }
+  for (size_t j = 0; j < nvalues; ++j) {
+    map_scratch_[nkeys + j] =
+        Mask(EvalExpr(*s.args[nkeys + j], s.block), d.value_fields[j].type);
+  }
+}
+
+NfInstance::Flow NfInstance::ExecBody(const std::vector<StmtPtr>& body) {
+  for (const auto& s : body) {
     if (ExecStmt(*s) == Flow::kReturned) {
       return Flow::kReturned;
     }
@@ -455,44 +565,36 @@ NfInstance::Flow NfInstance::ExecBody(std::vector<StmtPtr>& body) {
   return Flow::kNormal;
 }
 
-NfInstance::Flow NfInstance::ExecStmt(Stmt& s) {
+NfInstance::Flow NfInstance::ExecStmt(const Stmt& s) {
   if (s.block_entry && s.block >= 0) {
     ++profile_.block_exec[s.block];
   }
   switch (s.kind) {
     case StmtKind::kDecl:
-    case StmtKind::kAssignLocal: {
-      uint64_t v = EvalExpr(*s.e0, s.block);
-      const auto& slots = module_.functions[0].slots;
-      for (size_t i = 0; i < slots.size(); ++i) {
-        if (slots[i].name == s.name) {
-          locals_[i] = Mask(v, slots[i].type);
-          break;
-        }
-      }
+    case StmtKind::kAssignLocal:
+      SetLocal(s.ref, EvalExpr(*s.e0, s.block));
       return Flow::kNormal;
-    }
     case StmtKind::kAssignState: {
-      int sym = module_.FindState(s.name);
       uint64_t v = EvalExpr(*s.e0, s.block);
-      arrays_[sym][0] = Mask(v, module_.state[sym].elem_type);
-      RecordStateWrite(sym, s.block);
+      arrays_[s.ref][0] = Mask(v, module_.state[s.ref].elem_type);
+      RecordStateWrite(s.ref, s.block);
       return Flow::kNormal;
     }
     case StmtKind::kAssignStateArr: {
-      int sym = module_.FindState(s.name);
       uint64_t idx = EvalExpr(*s.e1, s.block);
       uint64_t v = EvalExpr(*s.e0, s.block);
-      auto& arr = arrays_[sym];
+      auto& arr = arrays_[s.ref];
       if (!arr.empty()) {
-        arr[idx % arr.size()] = Mask(v, module_.state[sym].elem_type);
+        arr[idx % arr.size()] = Mask(v, module_.state[s.ref].elem_type);
       }
-      RecordStateWrite(sym, s.block);
+      RecordStateWrite(s.ref, s.block);
       return Flow::kNormal;
     }
     case StmtKind::kAssignPacket: {
       uint64_t v = EvalExpr(*s.e0, s.block);
-      WritePacketField(s.name, v);
+      if (s.ref >= 0) {
+        StorePacketMember(*pkt_, kPacketFields[s.ref], v);
+      }
       return Flow::kNormal;
     }
     case StmtKind::kAssignPayload: {
@@ -506,14 +608,7 @@ NfInstance::Flow NfInstance::ExecStmt(Stmt& s) {
       return c != 0 ? ExecBody(s.body) : ExecBody(s.else_body);
     }
     case StmtKind::kFor: {
-      const auto& slots = module_.functions[0].slots;
-      int var = -1;
-      for (size_t i = 0; i < slots.size(); ++i) {
-        if (slots[i].name == s.name) {
-          var = static_cast<int>(i);
-          break;
-        }
-      }
+      int32_t var = s.ref;
       uint64_t lo = EvalExpr(*s.e0, s.block);
       uint64_t iters = 0;
       locals_[var] = Mask(lo, Type::kI32);
@@ -541,82 +636,51 @@ NfInstance::Flow NfInstance::ExecStmt(Stmt& s) {
       return Flow::kNormal;
     }
     case StmtKind::kMapFind: {
-      int sym = module_.FindState(s.name);
-      SimMap& m = *maps_[sym];
-      const StateDecl& d = *program_.FindState(s.name);
-      std::vector<uint64_t> keys;
-      for (size_t i = 0; i < d.key_fields.size(); ++i) {
-        keys.push_back(Mask(EvalExpr(*s.args[i], s.block), d.key_fields[i]));
-      }
-      std::vector<uint64_t> values;
-      auto r = m.Find(keys, &values);
-      AttributeMapOp(s, r, keys.size(), s.outs.size(), 0, sym);
-      const auto& slots = module_.functions[0].slots;
-      auto set_local = [&](const std::string& name, uint64_t v) {
-        for (size_t i = 0; i < slots.size(); ++i) {
-          if (slots[i].name == name) {
-            locals_[i] = Mask(v, slots[i].type);
-            return;
-          }
-        }
-      };
+      const StateDecl& d = program_.state[s.ref];
+      size_t nkeys = d.key_fields.size();
+      EvalMapFields(s, d, 0);
+      uint64_t* values = map_scratch_.data() + nkeys;
+      auto r = maps_[s.ref]->Find({map_scratch_.data(), nkeys}, values);
+      AttributeMapOp(s, r, nkeys, s.outs.size(), 0, s.ref);
       if (r.found) {
-        for (size_t j = 0; j < s.outs.size(); ++j) {
-          set_local(s.outs[j], values[j]);
+        for (size_t j = 0; j < s.out_refs.size(); ++j) {
+          SetLocal(s.out_refs[j], values[j]);
         }
       }
-      if (!s.found_local.empty()) {
-        set_local(s.found_local, r.found ? 1 : 0);
-      }
+      SetLocal(s.found_ref, r.found ? 1 : 0);
       return Flow::kNormal;
     }
     case StmtKind::kMapInsert: {
-      int sym = module_.FindState(s.name);
-      SimMap& m = *maps_[sym];
-      const StateDecl& d = *program_.FindState(s.name);
+      const StateDecl& d = program_.state[s.ref];
       size_t nkeys = d.key_fields.size();
-      std::vector<uint64_t> keys;
-      std::vector<uint64_t> values;
-      for (size_t i = 0; i < nkeys; ++i) {
-        keys.push_back(Mask(EvalExpr(*s.args[i], s.block), d.key_fields[i]));
-      }
-      for (size_t j = 0; j < d.value_fields.size(); ++j) {
-        values.push_back(Mask(EvalExpr(*s.args[nkeys + j], s.block), d.value_fields[j].type));
-      }
-      auto r = m.Insert(keys, values);
-      AttributeMapOp(s, r, nkeys, 0, nkeys + values.size(), sym);
+      size_t nvalues = d.value_fields.size();
+      EvalMapFields(s, d, nvalues);
+      auto r = maps_[s.ref]->Insert({map_scratch_.data(), nkeys},
+                                    {map_scratch_.data() + nkeys, nvalues});
+      AttributeMapOp(s, r, nkeys, 0, nkeys + nvalues, s.ref);
       return Flow::kNormal;
     }
     case StmtKind::kMapErase: {
-      int sym = module_.FindState(s.name);
-      SimMap& m = *maps_[sym];
-      const StateDecl& d = *program_.FindState(s.name);
-      std::vector<uint64_t> keys;
-      for (size_t i = 0; i < d.key_fields.size(); ++i) {
-        keys.push_back(Mask(EvalExpr(*s.args[i], s.block), d.key_fields[i]));
-      }
-      auto r = m.Erase(keys);
-      AttributeMapOp(s, r, keys.size(), 0, r.found ? 1 : 0, sym);
+      const StateDecl& d = program_.state[s.ref];
+      size_t nkeys = d.key_fields.size();
+      EvalMapFields(s, d, 0);
+      auto r = maps_[s.ref]->Erase({map_scratch_.data(), nkeys});
+      AttributeMapOp(s, r, nkeys, 0, r.found ? 1 : 0, s.ref);
       return Flow::kNormal;
     }
     case StmtKind::kApiCall: {
-      std::vector<uint64_t> args;
-      for (const auto& a : s.args) {
-        args.push_back(EvalExpr(*a, s.block));
-      }
-      CallApi(s.callee, args, s.block);
+      uint64_t args[kApiArgs] = {};
+      size_t nargs = EvalArgs(s.args, s.block, args);
+      CallApi(s.ref, args, nargs);
       return Flow::kNormal;
     }
     case StmtKind::kSend: {
-      std::vector<uint64_t> args;
-      if (s.e0) {
-        args.push_back(EvalExpr(*s.e0, s.block));
-      }
-      CallApi("send", args, s.block);
+      uint64_t port = s.e0 ? EvalExpr(*s.e0, s.block) : 0;
+      CallApi(s.ref, &port, s.e0 ? 1 : 0);
       return Flow::kReturned;
     }
     case StmtKind::kDrop:
-      CallApi("drop", {}, s.block);
+      CallApi(s.ref, nullptr, 0);
       return Flow::kReturned;
     case StmtKind::kReturn:
       return Flow::kReturned;

@@ -15,7 +15,9 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/lang/ast.h"
@@ -46,9 +48,12 @@ class SimMap {
     uint64_t index = 0;      // slot index on found
   };
 
-  OpResult Find(const std::vector<uint64_t>& keys, std::vector<uint64_t>* values_out);
-  OpResult Insert(const std::vector<uint64_t>& keys, const std::vector<uint64_t>& values);
-  OpResult Erase(const std::vector<uint64_t>& keys);
+  // `keys` holds num_keys() values. A hit copies num_values() values to
+  // `values_out` (if not null); insert stores the first num_values() of
+  // `values`.
+  OpResult Find(std::span<const uint64_t> keys, uint64_t* values_out);
+  OpResult Insert(std::span<const uint64_t> keys, std::span<const uint64_t> values);
+  OpResult Erase(std::span<const uint64_t> keys);
 
   size_t entries() const { return entries_; }
   size_t slot_count() const { return slot_count_; }
@@ -67,9 +72,9 @@ class SimMap {
     uint64_t start;
     uint32_t bound;
   };
-  Probe StartProbe(const std::vector<uint64_t>& keys) const;
+  Probe StartProbe(std::span<const uint64_t> keys) const;
   uint64_t Advance(uint64_t idx) const;
-  bool KeyMatches(uint64_t idx, const std::vector<uint64_t>& keys) const;
+  bool KeyMatches(uint64_t idx, std::span<const uint64_t> keys) const;
 
   size_t nkeys_;
   size_t nvals_;
@@ -91,15 +96,39 @@ struct NfProfile {
   std::vector<uint64_t> state_reads;                   // [state var]
   std::vector<uint64_t> state_writes;                  // [state var]
   std::vector<std::vector<uint64_t>> block_var_access; // [ir block][state var]
-  std::map<std::string, uint64_t> api_calls;
+  std::map<std::string, uint64_t> api_calls;           // by callee name
 
   uint64_t StateAccesses(size_t var) const { return state_reads[var] + state_writes[var]; }
 };
 
+// Framework API semantics shared by the AST interpreter and the NIC
+// executor's environment (src/nic/exec.h). Any name without an entry here
+// (including the ip_header/tcp_header/udp_header/payload views) is kNone:
+// counted, no effect, returns 0.
+enum class NfApi : uint8_t {
+  kNone,
+  kChecksum,      // checksum_update, csum_hw
+  kSend,
+  kDrop,
+  kCrcHash,       // crc_hash_hw
+  kCrc32,         // crc32_hw
+  kLpm,           // lpm_hw
+  kFlowCacheGet,  // flow_cache_get
+  kFlowCachePut,  // flow_cache_put
+  kRand,
+};
+
+NfApi NfApiByName(std::string_view name);
+
 // An executable NF: owns the program, its lowered IR module, and its state.
+//
+// Building the instance lowers the program and then resolves every name in
+// its AST once: locals to stack-slot indices, state names to symbols,
+// packet fields to kPacketFields indices and API callees to ids. Process()
+// works on those indices only.
 class NfInstance {
  public:
-  // Takes ownership of `program`; lowers it immediately.
+  // Takes ownership of `program`; lowers and resolves it immediately.
   explicit NfInstance(Program program, uint64_t seed = 1);
 
   bool ok() const { return ok_; }
@@ -111,7 +140,8 @@ class NfInstance {
   // Runs the handler on one packet, mutating it (header writes, verdict).
   void Process(Packet& pkt);
 
-  const NfProfile& profile() const { return profile_; }
+  // The profile so far; api_calls is filled from per-id counters here.
+  const NfProfile& profile() const;
   void ResetProfile();
 
   // Resets all NF state (maps, scalars, arrays) to initial values.
@@ -128,18 +158,33 @@ class NfInstance {
  private:
   enum class Flow { kNormal, kReturned };
 
+  // One interned API callee: its profile name and its semantics.
+  struct ApiEntry {
+    std::string name;
+    NfApi api;
+  };
+
+  void Resolve(Expr& e);
+  void Resolve(Stmt& s);
+  int32_t SlotOf(const std::string& local) const;
+  int32_t InternApi(const std::string& name);
+
   uint64_t EvalExpr(const Expr& e, int block);
-  Flow ExecStmt(Stmt& s);
-  Flow ExecBody(std::vector<StmtPtr>& body);
-  uint64_t CallApi(const std::string& name, const std::vector<uint64_t>& args, int block);
+  Flow ExecStmt(const Stmt& s);
+  Flow ExecBody(const std::vector<StmtPtr>& body);
+  void SetLocal(int32_t slot, uint64_t v);
+  // Evaluates every argument in order, keeping the first two (all any API
+  // reads) in `args`; returns the argument count.
+  size_t EvalArgs(const std::vector<ExprPtr>& exprs, int block, uint64_t* args);
+  uint64_t CallApi(int32_t id, const uint64_t* args, size_t nargs);
+  // Loads the key (then value) expressions of a map statement into
+  // map_scratch_, masked to the map's field types.
+  void EvalMapFields(const Stmt& s, const StateDecl& d, size_t nvalues);
 
   void RecordStateRead(int sym, int block, uint64_t n = 1);
   void RecordStateWrite(int sym, int block, uint64_t n = 1);
   void AttributeMapOp(const Stmt& s, const SimMap::OpResult& r, size_t nkeys,
                       size_t value_reads, size_t value_writes, int sym);
-
-  uint64_t ReadPacketField(const std::string& name) const;
-  void WritePacketField(const std::string& name, uint64_t v);
 
   Program program_;
   Module module_;
@@ -150,7 +195,11 @@ class NfInstance {
   std::vector<std::vector<uint64_t>> arrays_;  // per state var (scalars: size 1)
   std::vector<std::unique_ptr<SimMap>> maps_;  // per state var (null if not map)
 
-  NfProfile profile_;
+  std::vector<ApiEntry> apis_;               // by API id
+  std::vector<uint64_t> api_counts_;         // by API id
+  std::vector<uint64_t> map_scratch_;        // keys then values of one map op
+
+  mutable NfProfile profile_;  // api_calls is derived in profile()
   // Cached telemetry handles (lang.interp.<element>.*), resolved on first
   // use with telemetry enabled; see src/obs/metrics.h for handle stability.
   obs::Counter* obs_packets_ = nullptr;

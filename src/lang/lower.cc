@@ -5,6 +5,7 @@
 #include <set>
 
 #include "src/ir/builder.h"
+#include "src/ir/packet_fields.h"
 
 namespace clara {
 
@@ -52,7 +53,6 @@ class Lowerer {
     }
 
     r.module.name = p_.name;
-    InstallStandardPacketFields(r.module);
     for (const auto& sd : p_.state) {
       StateVar sv;
       sv.name = sd.name;
@@ -154,11 +154,10 @@ class Lowerer {
                              idx);
       }
       case ExprKind::kPacketField:
-        return B().LoadPacket(static_cast<uint32_t>(B().module().FindPacketField(e.name)));
+        return B().LoadPacket(static_cast<uint32_t>(FindPacketFieldIndex(e.name)));
       case ExprKind::kPayloadByte: {
         Value idx = LowerExpr(*e.args[0]);
-        return B().LoadPacket(
-            static_cast<uint32_t>(B().module().FindPacketField("pkt.payload")), idx);
+        return B().LoadPacket(static_cast<uint32_t>(kPayloadField), idx);
       }
       case ExprKind::kBinary: {
         Value a = Coerce(LowerExpr(*e.args[0]), e.args[0]->type, e.type);
@@ -240,14 +239,14 @@ class Lowerer {
         break;
       }
       case StmtKind::kAssignPacket: {
-        int field = B().module().FindPacketField(s.name);
-        Type ft = B().module().packet_fields[field].type;
+        int field = FindPacketFieldIndex(s.name);
+        Type ft = kPacketFields[field].type;
         Value v = Coerce(LowerExpr(*s.e0), s.e0->type, ft);
         B().StorePacket(static_cast<uint32_t>(field), v);
         break;
       }
       case StmtKind::kAssignPayload: {
-        int field = B().module().FindPacketField("pkt.payload");
+        int field = kPayloadField;
         Value idx = LowerExpr(*s.e1);
         Value v = Coerce(LowerExpr(*s.e0), s.e0->type, Type::kI8);
         B().StorePacket(static_cast<uint32_t>(field), v, idx);

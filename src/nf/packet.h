@@ -27,7 +27,7 @@ inline constexpr uint8_t kProtoUdp = 17;
 
 // A parsed packet. Field layout mirrors the header fields NF programs read
 // and write; the interpreter exposes these under names like "ip.src" or
-// "tcp.sport" (see lang/packet_fields).
+// "tcp.sport" (see src/ir/packet_fields.h).
 struct Packet {
   // Ethernet.
   uint16_t eth_type = 0x0800;

@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/ir/packet_fields.h"
 #include "src/nic/api_profile.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
@@ -210,7 +211,7 @@ class BlockTranslator {
 
   void TranslatePacketAccess(const Instruction& i) {
     bool is_load = i.op == Opcode::kLoad;
-    const PacketFieldInfo& field = m_.packet_fields[i.sym];
+    const PacketFieldDef& field = kPacketFields[i.sym];
     if (i.has_dyn_index) {
       // Payload byte with computed address: address calc + 1-word transfer +
       // byte extract/merge.
@@ -225,7 +226,7 @@ class BlockTranslator {
         lf.space = AddressSpace::kPacket;
         lf.sym = i.sym;
         lf.dst = i.result;
-        lf.moff = field.byte_offset;
+        lf.moff = field.wire_offset;
         lf.mbits = 8;
         lf.midx = midx;
         lf.vtype = i.type;
@@ -233,15 +234,15 @@ class BlockTranslator {
         Last().fmode = NicFieldMode::kMerge;  // byte merge (scratch)
         NicInstr& mw = out_.instrs[mi];
         mw.a = Ref(i.operands[0]);
-        mw.moff = field.byte_offset;
+        mw.moff = field.wire_offset;
         mw.mbits = 8;
         mw.midx = midx;
         mw.vtype = i.type;
       }
       return;
     }
-    auto [lo, hi] = WordSpan(field.byte_offset, BitWidth(field.type));
-    bool subword = BitWidth(field.type) < 32 || field.byte_offset % 4 != 0;
+    auto [lo, hi] = WordSpan(field.wire_offset, BitWidth(field.type));
+    bool subword = BitWidth(field.type) < 32 || field.wire_offset % 4 != 0;
     uint8_t mbits = static_cast<uint8_t>(BitWidth(field.type));
     if (is_load) {
       bool all_cached = opts_.coalesce_packet;
@@ -256,7 +257,7 @@ class BlockTranslator {
         lf.space = AddressSpace::kPacket;
         lf.sym = i.sym;
         lf.dst = i.result;
-        lf.moff = field.byte_offset;
+        lf.moff = field.wire_offset;
         lf.mbits = mbits;
         lf.vtype = i.type;
         return;
@@ -272,14 +273,14 @@ class BlockTranslator {
         lf.space = AddressSpace::kPacket;
         lf.sym = i.sym;
         lf.dst = i.result;
-        lf.moff = field.byte_offset;
+        lf.moff = field.wire_offset;
         lf.mbits = mbits;
         lf.vtype = i.type;
       } else {
         NicInstr& mr = out_.instrs[mi];
         mr.fmode = NicFieldMode::kExtract;
         mr.dst = i.result;
-        mr.moff = field.byte_offset;
+        mr.moff = field.wire_offset;
         mr.mbits = mbits;
         mr.vtype = i.type;
       }
@@ -291,7 +292,7 @@ class BlockTranslator {
       size_t mi = EmitMem(NicOp::kMemWrite, AddressSpace::kPacket, i.sym, hi - lo + 1);
       NicInstr& mw = out_.instrs[mi];
       mw.a = Ref(i.operands[0]);
-      mw.moff = field.byte_offset;
+      mw.moff = field.wire_offset;
       mw.mbits = mbits;
       mw.vtype = i.type;
       for (int w = lo; w <= hi; ++w) {
@@ -886,10 +887,10 @@ uint64_t NicCompileKey(const Module& m, const Function& f, const NicBackendOptio
     fnv.U64(sv.value_bytes);
     fnv.U64(sv.capacity);
   }
-  fnv.U64(m.packet_fields.size());
-  for (const auto& pf : m.packet_fields) {
+  fnv.U64(kNumPacketFields);
+  for (const PacketFieldDef& pf : kPacketFields) {
     fnv.U64(static_cast<uint64_t>(pf.type));
-    fnv.U64(pf.byte_offset);
+    fnv.U64(pf.wire_offset);
   }
   fnv.U64(m.apis.size());
   for (const auto& api : m.apis) {

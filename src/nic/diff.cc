@@ -2,7 +2,9 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 
+#include "src/ir/packet_fields.h"
 #include "src/lang/interp.h"
 #include "src/nic/backend.h"
 #include "src/nic/exec.h"
@@ -128,7 +130,7 @@ std::string CompareAstState(NfInstance& inst, const NfEnv& env,
 std::string ComparePackets(const Packet& a, const Packet& b,
                            const std::string& a_name, const std::string& b_name) {
   std::ostringstream oss;
-  auto diff = [&](const char* field, uint64_t av, uint64_t bv) {
+  auto diff = [&](std::string_view field, uint64_t av, uint64_t bv) {
     oss << field << ": " << a_name << "=" << av << " " << b_name << "=" << bv;
     return oss.str();
   };
@@ -138,27 +140,17 @@ std::string ComparePackets(const Packet& a, const Packet& b,
     return oss.str();
   }
   if (a.out_port != b.out_port) return diff("out_port", a.out_port, b.out_port);
-  if (a.eth_type != b.eth_type) return diff("eth.type", a.eth_type, b.eth_type);
-  if (a.ip_ihl != b.ip_ihl) return diff("ip.ihl", a.ip_ihl, b.ip_ihl);
-  if (a.ip_tos != b.ip_tos) return diff("ip.tos", a.ip_tos, b.ip_tos);
-  if (a.ip_len != b.ip_len) return diff("ip.len", a.ip_len, b.ip_len);
-  if (a.ip_ttl != b.ip_ttl) return diff("ip.ttl", a.ip_ttl, b.ip_ttl);
-  if (a.ip_proto != b.ip_proto) return diff("ip.proto", a.ip_proto, b.ip_proto);
-  if (a.ip_checksum != b.ip_checksum) {
-    return diff("ip.csum", a.ip_checksum, b.ip_checksum);
+  // Every field a program can change, in table order; read-only metadata
+  // cannot diverge.
+  for (const PacketFieldDef& f : kPacketFields) {
+    if (f.writable) {
+      uint64_t av = LoadPacketMember(a, f);
+      uint64_t bv = LoadPacketMember(b, f);
+      if (av != bv) {
+        return diff(f.name, av, bv);
+      }
+    }
   }
-  if (a.src_ip != b.src_ip) return diff("ip.src", a.src_ip, b.src_ip);
-  if (a.dst_ip != b.dst_ip) return diff("ip.dst", a.dst_ip, b.dst_ip);
-  if (a.sport != b.sport) return diff("tcp.sport", a.sport, b.sport);
-  if (a.dport != b.dport) return diff("tcp.dport", a.dport, b.dport);
-  if (a.tcp_seq != b.tcp_seq) return diff("tcp.seq", a.tcp_seq, b.tcp_seq);
-  if (a.tcp_ack != b.tcp_ack) return diff("tcp.ack", a.tcp_ack, b.tcp_ack);
-  if (a.tcp_off != b.tcp_off) return diff("tcp.off", a.tcp_off, b.tcp_off);
-  if (a.tcp_flags != b.tcp_flags) return diff("tcp.flags", a.tcp_flags, b.tcp_flags);
-  if (a.l4_checksum != b.l4_checksum) {
-    return diff("tcp.csum", a.l4_checksum, b.l4_checksum);
-  }
-  if (a.in_port != b.in_port) return diff("pkt.in_port", a.in_port, b.in_port);
   for (int i = 0; i < kMaxPayloadPrefix; ++i) {
     if (a.payload[i] != b.payload[i]) {
       oss << "payload[" << i << "]: " << a_name << "="

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/lang/interp.h"
 #include "src/nf/checksum.h"
 
 namespace clara {
@@ -102,155 +103,132 @@ void NfEnv::StateWrite(uint32_t sym, uint64_t elem, int32_t off, int bits, uint6
 }
 
 uint64_t NfEnv::PacketRead(uint32_t sym, uint64_t dyn, bool has_dyn) const {
-  if (module == nullptr || sym >= module->packet_fields.size()) {
+  if (sym >= kNumPacketFields) {
     return 0;
   }
-  const PacketFieldInfo& f = module->packet_fields[sym];
-  if (f.name == "pkt.len") return wire_len;
-  if (f.name == "pkt.payload_len") return payload_len;
-  if (f.name == "pkt.in_port") return in_port;
-  if (f.name == "pkt.ts") return ts_ns;
-  if (f.name == "pkt.payload") {
-    // A bare pkt.payload field reference (no byte index) reads as 0 in the
-    // AST interpreter; only payload[i] touches the prefix bytes.
-    return has_dyn ? pkt[54 + (dyn % kMaxPayloadPrefix)] : 0;
+  const PacketFieldDef& f = kPacketFields[sym];
+  switch (f.kind) {
+    case PacketFieldKind::kHeader:
+      return LoadLe(pkt.data() + f.wire_offset, f.packet_bytes);
+    case PacketFieldKind::kMeta:
+      return LoadPacketMember(meta, f);
+    case PacketFieldKind::kPayload:
+      // A bare pkt.payload field reference (no byte index) reads as 0 in the
+      // AST interpreter; only payload[i] touches the prefix bytes.
+      return has_dyn ? pkt[f.wire_offset + (dyn % kMaxPayloadPrefix)] : 0;
   }
-  return LoadLe(pkt.data() + f.byte_offset, BitWidth(f.type) / 8);
+  return 0;
 }
 
 void NfEnv::PacketWrite(uint32_t sym, uint64_t dyn, uint64_t v, bool has_dyn) {
-  if (module == nullptr || sym >= module->packet_fields.size()) {
+  if (sym >= kNumPacketFields) {
     return;
   }
-  const PacketFieldInfo& f = module->packet_fields[sym];
-  if (f.name == "pkt.in_port") {
-    in_port = static_cast<uint16_t>(v);
-    return;
-  }
-  if (f.name == "pkt.len" || f.name == "pkt.payload_len" || f.name == "pkt.ts") {
-    return;  // read-only metadata, like the AST interpreter
-  }
-  if (f.name == "pkt.payload") {
+  const PacketFieldDef& f = kPacketFields[sym];
+  if (f.kind == PacketFieldKind::kPayload) {
     if (has_dyn) {
-      pkt[54 + (dyn % kMaxPayloadPrefix)] = static_cast<uint8_t>(v);
+      pkt[f.wire_offset + (dyn % kMaxPayloadPrefix)] = static_cast<uint8_t>(v);
     }
     return;
   }
-  StoreLe(pkt.data() + f.byte_offset, BitWidth(f.type) / 8, v);
+  if (!f.writable) {
+    return;  // read-only metadata, like the AST interpreter
+  }
+  if (f.kind == PacketFieldKind::kMeta) {
+    StorePacketMember(meta, f, v);
+  } else {
+    StoreLe(pkt.data() + f.wire_offset, f.packet_bytes, v);
+  }
 }
 
 uint64_t NfEnv::CallApi(const std::string& name, const std::vector<uint64_t>& args) {
-  if (name == "ip_header" || name == "tcp_header" || name == "udp_header" ||
-      name == "payload") {
-    return 0;
-  }
-  if (name == "checksum_update" || name == "csum_hw") {
-    Packet p;
-    EnvToPacket(*this, p);
-    uint16_t csum = Ipv4HeaderChecksum(p);
-    StoreLe(pkt.data() + 24, 2, csum);  // ip.csum
-    return csum;
-  }
-  if (name == "send") {
-    verdict = Packet::Verdict::kSent;
-    out_port = args.empty() ? 0 : static_cast<uint16_t>(args[0]);
-    ++sends;
-    return 0;
-  }
-  if (name == "drop") {
-    verdict = Packet::Verdict::kDropped;
-    ++drops;
-    return 0;
-  }
-  if (name == "crc_hash_hw") {
-    uint64_t key = args.empty() ? 0 : args[0];
-    uint8_t bytes[8];
-    StoreLe(bytes, 8, key);
-    return Crc32Bitwise(bytes, 8);
-  }
-  if (name == "crc32_hw") {
-    int len = payload_len < kMaxPayloadPrefix ? payload_len : kMaxPayloadPrefix;
-    if (!args.empty() && args[0] < static_cast<uint64_t>(len)) {
-      len = static_cast<int>(args[0]);
+  switch (NfApiByName(name)) {
+    case NfApi::kNone:
+      return 0;
+    case NfApi::kChecksum: {
+      Packet p;
+      EnvToPacket(*this, p);
+      uint16_t csum = Ipv4HeaderChecksum(p);
+      constexpr PacketFieldDef kCsum = kPacketFields[FindPacketFieldIndex("ip.csum")];
+      StoreLe(pkt.data() + kCsum.wire_offset, kCsum.packet_bytes, csum);
+      return csum;
     }
-    return Crc32Bitwise(pkt.data() + 54, static_cast<size_t>(len));
-  }
-  if (name == "lpm_hw") {
-    if (lpm != nullptr && !args.empty()) {
-      auto hop = lpm->Lookup(static_cast<uint32_t>(args[0]));
-      return hop.has_value() ? *hop + 1 : 0;
+    case NfApi::kSend:
+      verdict = Packet::Verdict::kSent;
+      out_port = args.empty() ? 0 : static_cast<uint16_t>(args[0]);
+      ++sends;
+      return 0;
+    case NfApi::kDrop:
+      verdict = Packet::Verdict::kDropped;
+      ++drops;
+      return 0;
+    case NfApi::kCrcHash: {
+      uint64_t key = args.empty() ? 0 : args[0];
+      uint8_t bytes[8];
+      StoreLe(bytes, 8, key);
+      return Crc32Bitwise(bytes, 8);
     }
-    return 0;
-  }
-  if (name == "flow_cache_get") {
-    auto it = flow_cache.find(args.empty() ? 0 : args[0]);
-    return it == flow_cache.end() ? 0 : it->second + 1;
-  }
-  if (name == "flow_cache_put") {
-    if (args.size() >= 2) {
-      flow_cache[args[0]] = args[1];
+    case NfApi::kCrc32: {
+      int len = meta.PayloadPrefixLen();
+      if (!args.empty() && args[0] < static_cast<uint64_t>(len)) {
+        len = static_cast<int>(args[0]);
+      }
+      return Crc32Bitwise(pkt.data() + kWireHeaderBytes, static_cast<size_t>(len));
     }
-    return 0;
-  }
-  if (name == "rand") {
-    return rng.NextU64() & 0xffffffffULL;
+    case NfApi::kLpm:
+      if (lpm != nullptr && !args.empty()) {
+        auto hop = lpm->Lookup(static_cast<uint32_t>(args[0]));
+        return hop.has_value() ? *hop + 1 : 0;
+      }
+      return 0;
+    case NfApi::kFlowCacheGet: {
+      auto it = flow_cache.find(args.empty() ? 0 : args[0]);
+      return it == flow_cache.end() ? 0 : it->second + 1;
+    }
+    case NfApi::kFlowCachePut:
+      if (args.size() >= 2) {
+        flow_cache[args[0]] = args[1];
+      }
+      return 0;
+    case NfApi::kRand:
+      return rng.NextU64() & 0xffffffffULL;
   }
   return 0;
 }
 
 void PacketToEnv(const Packet& p, NfEnv& env) {
   env.pkt.fill(0);
-  auto put = [&env](int off, int bytes, uint64_t v) {
-    StoreLe(env.pkt.data() + off, bytes, v);
-  };
-  put(12, 2, p.eth_type);
-  put(14, 1, p.ip_ihl);
-  put(15, 1, p.ip_tos);
-  put(16, 2, p.ip_len);
-  put(22, 1, p.ip_ttl);
-  put(23, 1, p.ip_proto);
-  put(24, 2, p.ip_checksum);
-  put(26, 4, p.src_ip);
-  put(30, 4, p.dst_ip);
-  put(34, 2, p.sport);
-  put(36, 2, p.dport);
-  put(38, 4, p.tcp_seq);
-  put(42, 4, p.tcp_ack);
-  put(46, 1, p.tcp_off);
-  put(47, 1, p.tcp_flags);
-  put(48, 2, p.l4_checksum);
-  std::memcpy(env.pkt.data() + 54, p.payload.data(), kMaxPayloadPrefix);
-  env.wire_len = p.wire_len;
-  env.payload_len = p.payload_len;
-  env.in_port = p.in_port;
-  env.ts_ns = p.ts_ns;
+  for (const PacketFieldDef& f : kPacketFields) {
+    switch (f.kind) {
+      case PacketFieldKind::kHeader:
+        StoreLe(env.pkt.data() + f.wire_offset, f.packet_bytes, LoadPacketMember(p, f));
+        break;
+      case PacketFieldKind::kMeta:
+        StorePacketMember(env.meta, f, LoadPacketMember(p, f));
+        break;
+      case PacketFieldKind::kPayload:
+        std::memcpy(env.pkt.data() + f.wire_offset, p.payload.data(), kMaxPayloadPrefix);
+        break;
+    }
+  }
   env.verdict = Packet::Verdict::kPending;
   env.out_port = p.out_port;
 }
 
 void EnvToPacket(const NfEnv& env, Packet& p) {
-  auto get = [&env](int off, int bytes) { return LoadLe(env.pkt.data() + off, bytes); };
-  p.eth_type = static_cast<uint16_t>(get(12, 2));
-  p.ip_ihl = static_cast<uint8_t>(get(14, 1));
-  p.ip_tos = static_cast<uint8_t>(get(15, 1));
-  p.ip_len = static_cast<uint16_t>(get(16, 2));
-  p.ip_ttl = static_cast<uint8_t>(get(22, 1));
-  p.ip_proto = static_cast<uint8_t>(get(23, 1));
-  p.ip_checksum = static_cast<uint16_t>(get(24, 2));
-  p.src_ip = static_cast<uint32_t>(get(26, 4));
-  p.dst_ip = static_cast<uint32_t>(get(30, 4));
-  p.sport = static_cast<uint16_t>(get(34, 2));
-  p.dport = static_cast<uint16_t>(get(36, 2));
-  p.tcp_seq = static_cast<uint32_t>(get(38, 4));
-  p.tcp_ack = static_cast<uint32_t>(get(42, 4));
-  p.tcp_off = static_cast<uint8_t>(get(46, 1));
-  p.tcp_flags = static_cast<uint8_t>(get(47, 1));
-  p.l4_checksum = static_cast<uint16_t>(get(48, 2));
-  std::memcpy(p.payload.data(), env.pkt.data() + 54, kMaxPayloadPrefix);
-  p.wire_len = env.wire_len;
-  p.payload_len = env.payload_len;
-  p.in_port = env.in_port;
-  p.ts_ns = env.ts_ns;
+  for (const PacketFieldDef& f : kPacketFields) {
+    switch (f.kind) {
+      case PacketFieldKind::kHeader:
+        StorePacketMember(p, f, LoadLe(env.pkt.data() + f.wire_offset, f.packet_bytes));
+        break;
+      case PacketFieldKind::kMeta:
+        StorePacketMember(p, f, LoadPacketMember(env.meta, f));
+        break;
+      case PacketFieldKind::kPayload:
+        std::memcpy(p.payload.data(), env.pkt.data() + f.wire_offset, kMaxPayloadPrefix);
+        break;
+    }
+  }
   p.verdict = env.verdict;
   p.out_port = env.out_port;
 }

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "src/ir/ir.h"
+#include "src/ir/packet_fields.h"
 #include "src/lang/ast.h"
 #include "src/nf/lpm.h"
 #include "src/nf/packet.h"
@@ -43,23 +44,22 @@
 
 namespace clara {
 
-// Size of the logical wire image: headers (see InstallStandardPacketFields)
-// followed by the materialized payload prefix.
-inline constexpr int kNicPacketImageBytes = 54 + kMaxPayloadPrefix;
+// Size of the logical wire image: headers (src/ir/packet_fields.h) followed
+// by the materialized payload prefix.
+inline constexpr int kNicPacketImageBytes = kWireHeaderBytes + kMaxPayloadPrefix;
 
 // Runtime environment one packet is processed against.
 struct NfEnv {
   const Module* module = nullptr;
 
   // Byte image of the packet's wire view; header fields live at their
-  // PacketFieldInfo::byte_offset, little-endian, payload at offset 54.
+  // wire offsets (src/ir/packet_fields.h), little-endian, payload at
+  // kWireHeaderBytes.
   std::array<uint8_t, kNicPacketImageBytes> pkt{};
 
-  // Packet metadata (pseudo-fields not in the wire image).
-  uint16_t wire_len = 0;
-  uint16_t payload_len = 0;
-  uint16_t in_port = 0;
-  uint64_t ts_ns = 0;
+  // Packet metadata (pseudo-fields not in the wire image), kept in the
+  // Packet members the field table names; only those members are used.
+  Packet meta;
 
   // Verdict tracking (send/drop APIs).
   Packet::Verdict verdict = Packet::Verdict::kPending;
@@ -81,7 +81,8 @@ struct NfEnv {
   // ResetState.
   void InitState(const Module& m, const std::vector<StateDecl>* decls);
 
-  // Framework API semantics, mirroring NfInstance::CallApi.
+  // Framework API semantics (NfApi, src/lang/interp.h), mirroring the AST
+  // interpreter.
   uint64_t CallApi(const std::string& name, const std::vector<uint64_t>& args);
 
   // Raw little-endian field access into a state image (element index is

@@ -50,71 +50,53 @@ uint32_t TraceSink::CurrentTid() {
       std::hash<std::thread::id>{}(std::this_thread::get_id()) % 100000);
 }
 
+uint32_t TraceSink::InternLocked(std::string_view s) {
+  auto it = name_ids_.find(s);
+  if (it != name_ids_.end()) {
+    return it->second;
+  }
+  auto id = static_cast<uint32_t>(names_.size());
+  names_.emplace_back(s);
+  name_ids_.emplace(names_.back(), id);
+  return id;
+}
+
+void TraceSink::AddLocked(std::string_view name, std::string_view cat, char ph, int64_t ts_us,
+                          int64_t dur_us, uint32_t tid, double value, uint64_t trace_id) {
+  uint32_t cat_id = InternLocked(cat);
+  events_.push_back(Record{InternLocked(name), cat_id, tid, ph, ts_us, dur_us, value, trace_id});
+}
+
 void TraceSink::AddComplete(const std::string& name, const std::string& cat, int64_t ts_us,
                             int64_t dur_us) {
-  TraceEvent e;
-  e.name = name;
-  e.cat = cat;
-  e.ph = 'X';
-  e.ts_us = ts_us;
-  e.dur_us = dur_us;
-  e.tid = CurrentTid();
+  uint32_t tid = CurrentTid();
   std::lock_guard<std::mutex> lock(mu_);
-  events_.push_back(std::move(e));
+  AddLocked(name, cat, 'X', ts_us, dur_us, tid, 0, 0);
 }
 
-void TraceSink::AddCompleteForTrace(const std::string& name, const std::string& cat,
-                                    int64_t ts_us, int64_t dur_us, uint64_t trace_id) {
-  TraceEvent e;
-  e.name = name;
-  e.cat = cat;
-  e.ph = 'X';
-  e.ts_us = ts_us;
-  e.dur_us = dur_us;
-  // One track per traced request: nesting stays visually intact even though
-  // queue wait and dispatch run on different threads.
-  e.tid = static_cast<uint32_t>(trace_id % 100000);
-  e.trace_id = trace_id;
+void TraceSink::AddRequestSpans(std::string_view cat, uint64_t trace_id,
+                                std::span<const RequestSpan> spans) {
+  auto tid = static_cast<uint32_t>(trace_id % 100000);
   std::lock_guard<std::mutex> lock(mu_);
-  events_.push_back(std::move(e));
-}
-
-void TraceSink::AddEvents(std::vector<TraceEvent>&& events) {
-  if (events.empty()) {
-    return;
+  uint32_t cat_id = InternLocked(cat);
+  for (const RequestSpan& s : spans) {
+    events_.push_back(
+        Record{InternLocked(s.name), cat_id, tid, 'X', s.ts_us, s.dur_us, 0, trace_id});
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (events_.empty()) {
-    events_ = std::move(events);
-    return;
-  }
-  // No reserve(): exact-fit reallocation on every batch would make repeated
-  // appends quadratic; insert keeps the usual geometric growth.
-  events_.insert(events_.end(), std::make_move_iterator(events.begin()),
-                 std::make_move_iterator(events.end()));
 }
 
 void TraceSink::AddCounter(const std::string& name, double value) {
-  TraceEvent e;
-  e.name = name;
-  e.cat = "counter";
-  e.ph = 'C';
-  e.ts_us = NowUs();
-  e.tid = CurrentTid();
-  e.value = value;
+  int64_t ts_us = NowUs();
+  uint32_t tid = CurrentTid();
   std::lock_guard<std::mutex> lock(mu_);
-  events_.push_back(std::move(e));
+  AddLocked(name, "counter", 'C', ts_us, 0, tid, value, 0);
 }
 
 void TraceSink::AddInstant(const std::string& name, const std::string& cat) {
-  TraceEvent e;
-  e.name = name;
-  e.cat = cat;
-  e.ph = 'i';
-  e.ts_us = NowUs();
-  e.tid = CurrentTid();
+  int64_t ts_us = NowUs();
+  uint32_t tid = CurrentTid();
   std::lock_guard<std::mutex> lock(mu_);
-  events_.push_back(std::move(e));
+  AddLocked(name, cat, 'i', ts_us, 0, tid, 0, 0);
 }
 
 size_t TraceSink::size() const {
@@ -124,7 +106,21 @@ size_t TraceSink::size() const {
 
 std::vector<TraceEvent> TraceSink::Events() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return events_;
+  std::vector<TraceEvent> out;
+  out.reserve(events_.size());
+  for (const Record& r : events_) {
+    TraceEvent e;
+    e.name = names_[r.name];
+    e.cat = names_[r.cat];
+    e.ph = r.ph;
+    e.ts_us = r.ts_us;
+    e.dur_us = r.dur_us;
+    e.tid = r.tid;
+    e.value = r.value;
+    e.trace_id = r.trace_id;
+    out.push_back(std::move(e));
+  }
+  return out;
 }
 
 std::string TraceSink::ToChromeJson() const {

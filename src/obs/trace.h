@@ -9,8 +9,12 @@
 
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace clara {
@@ -41,14 +45,18 @@ class TraceSink {
 
   void AddComplete(const std::string& name, const std::string& cat, int64_t ts_us,
                    int64_t dur_us);
-  // Complete span correlated to a request: trace_id lands in args.trace_id.
-  // `tid` overrides the calling thread's id so every span of one request
-  // renders on the same track regardless of which thread recorded it.
-  void AddCompleteForTrace(const std::string& name, const std::string& cat,
-                           int64_t ts_us, int64_t dur_us, uint64_t trace_id);
-  // Append a pre-built batch under one lock. The serving hot path emits a
-  // whole request span tree at once; per-event locking there is measurable.
-  void AddEvents(std::vector<TraceEvent>&& events);
+  // One complete span of a request's tree.
+  struct RequestSpan {
+    std::string_view name;
+    int64_t ts_us;
+    int64_t dur_us;
+  };
+  // Appends a request's span tree under one lock. Every span lands on the
+  // request's own track (trace_id % 100000), so nesting renders intact even
+  // though queue wait and dispatch run on different threads, and carries
+  // trace_id in args.trace_id. The serving hot path emits one per request.
+  void AddRequestSpans(std::string_view cat, uint64_t trace_id,
+                       std::span<const RequestSpan> spans);
   void AddCounter(const std::string& name, double value);
   void AddInstant(const std::string& name, const std::string& cat);
 
@@ -65,9 +73,28 @@ class TraceSink {
  private:
   static uint32_t CurrentTid();
 
+  // Stored form of a TraceEvent, with name and category interned: a traced
+  // request then writes 48 bytes of fresh memory per span instead of two
+  // std::strings' worth, and never reallocates what is already recorded.
+  struct Record {
+    uint32_t name;
+    uint32_t cat;
+    uint32_t tid;
+    char ph;
+    int64_t ts_us;
+    int64_t dur_us;
+    double value;
+    uint64_t trace_id;
+  };
+  uint32_t InternLocked(std::string_view s);
+  void AddLocked(std::string_view name, std::string_view cat, char ph, int64_t ts_us,
+                 int64_t dur_us, uint32_t tid, double value, uint64_t trace_id);
+
   std::chrono::steady_clock::time_point epoch_;
   mutable std::mutex mu_;
-  std::vector<TraceEvent> events_;
+  std::deque<Record> events_;
+  std::deque<std::string> names_;  // interned; a deque keeps the views below valid
+  std::unordered_map<std::string_view, uint32_t> name_ids_;
 };
 
 // Global sink registration. Not owned; caller keeps the sink alive for the

@@ -131,6 +131,11 @@ bool ParseRequest(std::string_view payload, InsightRequest* out, std::string* er
     *error = "request: " + r.error();
     return false;
   }
+  if (req.workload.num_flows == 0 || req.workload.num_flows > kMaxWorkloadFlows) {
+    *error = "request: workload num_flows " + std::to_string(req.workload.num_flows) +
+             " outside [1, " + std::to_string(kMaxWorkloadFlows) + "]";
+    return false;
+  }
   req.deadline_ms = r.U32();
   if (!r.ok()) {
     *error = "request: " + r.error();

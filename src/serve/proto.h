@@ -37,6 +37,10 @@ namespace clara {
 namespace serve {
 
 inline constexpr size_t kMaxFrameBytes = 1 << 20;  // 1 MiB
+// Largest workload num_flows a request may carry. A trace over n flows
+// builds an n-entry Zipf CDF (8 bytes per flow), so the bound caps what one
+// request can make the daemon allocate; 0 flows has no trace at all.
+inline constexpr uint32_t kMaxWorkloadFlows = 1u << 20;
 
 // Leading u16 of every payload. The two insight values predate this enum and
 // keep their original byte patterns ("QR"/"PR" on the wire).

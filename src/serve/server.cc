@@ -31,6 +31,52 @@ uint64_t MixKey(uint64_t program_hash, uint64_t workload_hash) {
   return program_hash ^ (workload_hash * 0x9E3779B97F4A7C15ULL);
 }
 
+uint64_t Mix64(uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+// Position-keyed word hash of table contents: word-wise, because a
+// byte-wise pass over iplookup's ~3.7k-word trie would add ~0.1 ms to every
+// cache hit.
+uint64_t HashWords(const std::vector<uint64_t>& words) {
+  uint64_t h = words.size();
+  for (size_t i = 0; i < words.size(); ++i) {
+    h += Mix64(words[i] ^ ((i + 1) * 0x9E3779B97F4A7C15ULL));
+  }
+  return Mix64(h);
+}
+
+// Cache key of a program: its source plus every StateDecl field. ToSource
+// alone omits table contents (`init`) and map key/value layouts, so an
+// element and a lossy inline rendering of it would share an entry.
+uint64_t ProgramFingerprint(const Program& program) {
+  BinWriter w;
+  w.Str(ToSource(program));
+  w.U32(static_cast<uint32_t>(program.state.size()));
+  for (const StateDecl& d : program.state) {
+    w.Str(d.name);
+    w.U8(static_cast<uint8_t>(d.kind));
+    w.U8(static_cast<uint8_t>(d.elem_type));
+    w.U32(d.length);
+    w.U32(static_cast<uint32_t>(d.key_fields.size()));
+    for (Type t : d.key_fields) {
+      w.U8(static_cast<uint8_t>(t));
+    }
+    w.U32(static_cast<uint32_t>(d.value_fields.size()));
+    for (const ValueField& v : d.value_fields) {
+      w.Str(v.name);
+      w.U8(static_cast<uint8_t>(v.type));
+    }
+    w.U32(d.capacity);
+    w.U8(static_cast<uint8_t>(d.impl));
+    w.U32(d.slots_per_bucket);
+    w.U64(HashWords(d.init));
+  }
+  return Fnv1a64(w.data());
+}
+
 obs::SloTracker::Options SloOptionsFrom(const ServeOptions& opts) {
   obs::SloTracker::Options slo;
   slo.window_us = std::max<int64_t>(opts.slo_window_ms, 1) * 1000;
@@ -99,6 +145,9 @@ ServeEngine::ServeEngine(TrainedBundle bundle, ServeOptions opts)
   // Builds the packed f32/int8 engine once, before the first request; every
   // ProcessBatch prediction then runs through the selected backend.
   model_->analyzer.SetInferBackend(opts_.infer_backend);
+  for (const ElementInfo& e : ElementRegistry()) {
+    element_fingerprints_.push_back(ProgramFingerprint(e.make()));
+  }
 }
 
 ServeEngine::~ServeEngine() { Stop(); }
@@ -345,27 +394,14 @@ void ServeEngine::Fulfill(Pending& p, InsightResponse resp) {
     auto to_sink_us = [&](Clock::time_point tp) {
       return now_sink_us - SpanUs(tp, now);
     };
-    uint32_t track = static_cast<uint32_t>(trace_id % 100000);
-    auto span_event = [&](const char* name, int64_t ts_us, int64_t dur_us) {
-      obs::TraceEvent e;
-      e.name = name;
-      e.cat = "serve";
-      e.ts_us = ts_us;
-      e.dur_us = dur_us;
-      e.tid = track;
-      e.trace_id = trace_id;
-      return e;
-    };
-    std::vector<obs::TraceEvent> tree;
+    std::vector<obs::TraceSink::RequestSpan> tree;
     tree.reserve(2 + p.spans.size());
-    tree.push_back(span_event("serve.request", to_sink_us(p.enqueued),
-                              SpanUs(p.enqueued, now)));
-    tree.push_back(span_event("serve.queue_wait", to_sink_us(p.enqueued),
-                              SpanUs(p.enqueued, drained)));
+    tree.push_back({"serve.request", to_sink_us(p.enqueued), SpanUs(p.enqueued, now)});
+    tree.push_back({"serve.queue_wait", to_sink_us(p.enqueued), SpanUs(p.enqueued, drained)});
     for (const StageSpan& s : p.spans) {
-      tree.push_back(span_event(s.name, to_sink_us(s.start), SpanUs(s.start, s.end)));
+      tree.push_back({s.name, to_sink_us(s.start), SpanUs(s.start, s.end)});
     }
-    sink->AddEvents(std::move(tree));
+    sink->AddRequestSpans("serve", trace_id, tree);
   }
 
   // Rolling SLO window + flight recorder run regardless of the global obs
@@ -444,7 +480,6 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
   // the cache are fulfilled immediately and excluded from inference.
   struct Slot {
     Pending* pending = nullptr;
-    Program program;
     std::unique_ptr<NfInstance> lowered;
     NfPrediction prediction;
     uint64_t program_hash = 0;
@@ -471,6 +506,8 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
     }
     Slot slot;
     slot.pending = &p;
+    Program program;
+    const ElementInfo* info = nullptr;  // by-name: its program is built on a miss only
     StageSpan parse_span{"serve.parse", Clock::now(), {}};
     if (!p.req.source.empty()) {
       ParseResult parsed = ParseProgram(p.req.source);
@@ -487,12 +524,14 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
         Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kCheckFailed, msg));
         continue;
       }
-      slot.program = std::move(parsed.program);
+      program = std::move(parsed.program);
+      slot.program_hash = ProgramFingerprint(program);
     } else {
-      const ElementInfo* info = nullptr;
-      for (const auto& e : ElementRegistry()) {
-        if (e.name == p.req.element) {
-          info = &e;
+      const auto& registry = ElementRegistry();
+      for (size_t i = 0; i < registry.size(); ++i) {
+        if (registry[i].name == p.req.element) {
+          info = &registry[i];
+          slot.program_hash = element_fingerprints_[i];
           break;
         }
       }
@@ -501,17 +540,16 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
                                  "element '" + p.req.element + "' not in registry"));
         continue;
       }
-      slot.program = info->make();
     }
     parse_span.end = Clock::now();
     p.spans.push_back(parse_span);
 
-    slot.program_hash = Fnv1a64(ToSource(slot.program));
     slot.workload_hash = HashWorkload(p.req.workload);
     std::string cached = CacheGet(slot.program_hash, slot.workload_hash);
     if (!cached.empty()) {
       if (obs::Enabled()) {
-        obs::MetricsRegistry::Global().GetCounter("serve.cache.hits").Add(1);
+        static obs::Counter& hits = obs::MetricsRegistry::Global().GetCounter("serve.cache.hits");
+        hits.Add(1);
       }
       // Byte-identical replay of the cached body; only the id envelope
       // differs per request.
@@ -531,7 +569,9 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
       continue;
     }
     if (obs::Enabled()) {
-      obs::MetricsRegistry::Global().GetCounter("serve.cache.misses").Add(1);
+      static obs::Counter& misses =
+          obs::MetricsRegistry::Global().GetCounter("serve.cache.misses");
+      misses.Add(1);
     }
     // Brownout prefers cache hits: a miss from the lowest priority class is
     // shed instead of spending inference on it, keeping batch slots for
@@ -541,7 +581,12 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
       continue;
     }
 
-    slot.lowered = std::make_unique<NfInstance>(CloneProgram(slot.program));
+    if (info != nullptr) {
+      program = info->make();
+    }
+    // Lowered once: inference reads this module and Analyze profiles this
+    // instance.
+    slot.lowered = std::make_unique<NfInstance>(std::move(program));
     if (!slot.lowered->ok()) {
       Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kCheckFailed,
                                "lowering failed: " + slot.lowered->error()));
@@ -594,7 +639,7 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
     Pending& p = *slot.pending;
     StageSpan analyze_span{"serve.analyze", Clock::now(), {}};
     OffloadingInsights insights =
-        analyzer.Analyze(std::move(slot.program), p.req.workload, &slot.prediction);
+        analyzer.Analyze(*slot.lowered, p.req.workload, &slot.prediction);
     InsightResponse resp;
     resp.id = p.req.id;
     resp.nf_name = insights.nf_name;
@@ -715,9 +760,13 @@ bool ServeEngine::Reload(TrainedBundle bundle, std::string* error) {
     }
     return false;
   }
+  // The old snapshot is released after the lock: freeing a model while
+  // holding model_mu_ would stall every request that pins the model.
+  std::shared_ptr<ModelSnapshot> old;
   {
     std::lock_guard<std::mutex> lock(model_mu_);
     cand->version = artifact_version_.load(std::memory_order_relaxed) + 1;
+    old = std::move(model_);
     model_ = cand;
     artifact_version_.store(cand->version, std::memory_order_release);
   }

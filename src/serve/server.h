@@ -256,6 +256,9 @@ class ServeEngine {
   void CacheClear();
 
   ServeOptions opts_;
+  // ProgramFingerprint of every ElementRegistry() entry, in registry order:
+  // a by-name cache hit needs neither the program nor its source text.
+  std::vector<uint64_t> element_fingerprints_;
 
   // Serving model. model_mu_ guards only the pointer swap; the snapshot
   // itself is immutable while shared (the dispatcher-owned backend switch

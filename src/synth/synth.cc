@@ -4,19 +4,11 @@
 #include <cmath>
 #include <string>
 
+#include "src/ir/packet_fields.h"
 #include "src/util/binio.h"
 
 namespace clara {
 namespace {
-
-const std::vector<PacketFieldInfo>& StandardFields() {
-  static const std::vector<PacketFieldInfo> fields = [] {
-    Module m;
-    InstallStandardPacketFields(m);
-    return m.packet_fields;
-  }();
-  return fields;
-}
 
 int OpIndex(Opcode op) {
   switch (op) {
@@ -47,7 +39,7 @@ class Measurer {
   SynthProfile Run(const std::vector<const Program*>& corpus) {
     profile_.stmt_weights.assign(kNumSynthStmts, 0.1);
     profile_.op_weights.assign(9, 0.1);
-    profile_.field_weights.assign(StandardFields().size(), 0.1);
+    profile_.field_weights.assign(kNumPacketFields, 0.1);
     double total_body = 0;
     int stateful = 0;
     double scalars = 0;
@@ -120,12 +112,9 @@ class Measurer {
       }
     }
     if (e.kind == ExprKind::kPacketField) {
-      const auto& fields = StandardFields();
-      for (size_t i = 0; i < fields.size(); ++i) {
-        if (fields[i].name == e.name) {
-          profile_.field_weights[i] += 1;
-          break;
-        }
+      int field = FindPacketFieldIndex(e.name);
+      if (field >= 0) {
+        profile_.field_weights[field] += 1;
       }
     }
     for (const auto& a : e.args) {
@@ -321,11 +310,10 @@ class Generator {
   }
 
   std::string WeightedField() {
-    const auto& fields = StandardFields();
-    if (p_.field_weights.size() == fields.size()) {
-      return fields[rng_.NextWeighted(p_.field_weights)].name;
+    if (p_.field_weights.size() == kNumPacketFields) {
+      return std::string(kPacketFields[rng_.NextWeighted(p_.field_weights)].name);
     }
-    return fields[rng_.NextBounded(fields.size())].name;
+    return std::string(kPacketFields[rng_.NextBounded(kNumPacketFields)].name);
   }
 
   ExprPtr GenGenericLeaf() {
@@ -564,7 +552,7 @@ SynthProfile MeasureCorpus(const std::vector<const Program*>& corpus) {
 
 SynthProfile UniformProfile() {
   SynthProfile p;
-  p.field_weights.assign(StandardFields().size(), 1.0);
+  p.field_weights.assign(kNumPacketFields, 1.0);
   p.avg_body_len = 10;
   p.scalar_state_avg = 1.5;
   p.array_state_prob = 0.5;

@@ -1,6 +1,8 @@
 #include "src/util/rng.h"
 
 #include <cmath>
+#include <deque>
+#include <mutex>
 #include <numeric>
 
 namespace clara {
@@ -14,7 +16,43 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+// Most recent distinct (n, s) CDFs kept for reuse. Small on purpose: the
+// workload presets use two, and each entry holds n doubles.
+constexpr size_t kZipfMemoEntries = 4;
+// CDFs over more ranks than the SmallFlows preset are built per sampler and
+// never kept, so the memo pins at most kZipfMemoEntries * 512 KiB.
+constexpr size_t kZipfMemoMaxRanks = 65536;
+
+struct ZipfMemoEntry {
+  size_t n;
+  double s;
+  std::shared_ptr<const std::vector<double>> cdf;
+};
+
+std::shared_ptr<const std::vector<double>> SharedZipfCdf(size_t n, double s) {
+  if (n > kZipfMemoMaxRanks) {
+    return std::make_shared<const std::vector<double>>(ZipfSampler::BuildCdf(n, s));
+  }
+  static std::mutex mu;
+  static std::deque<ZipfMemoEntry> memo;  // most recently used first
+  // Held while building too: threads wanting the same new key wait for one
+  // build instead of each paying for it.
+  std::lock_guard<std::mutex> lock(mu);
+  for (auto it = memo.begin(); it != memo.end(); ++it) {
+    if (it->n == n && it->s == s) {
+      ZipfMemoEntry hit = *it;
+      memo.erase(it);
+      memo.push_front(hit);
+      return hit.cdf;
+    }
+  }
+  memo.push_front(ZipfMemoEntry{
+      n, s, std::make_shared<const std::vector<double>>(ZipfSampler::BuildCdf(n, s))});
+  if (memo.size() > kZipfMemoEntries) {
+    memo.pop_back();
+  }
+  return memo.front().cdf;
+}
 
 }  // namespace
 
@@ -23,18 +61,6 @@ Rng::Rng(uint64_t seed) {
   for (auto& s : s_) {
     s = SplitMix64(sm);
   }
-}
-
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 uint64_t Rng::NextBounded(uint64_t bound) {
@@ -95,25 +121,29 @@ std::vector<size_t> Rng::Permutation(size_t n) {
   return p;
 }
 
-ZipfSampler::ZipfSampler(size_t n, double s) {
-  cdf_.resize(n);
+std::vector<double> ZipfSampler::BuildCdf(size_t n, double s) {
+  std::vector<double> cdf(n);
   double acc = 0.0;
   for (size_t i = 0; i < n; ++i) {
     acc += 1.0 / std::pow(static_cast<double>(i + 1), s);
-    cdf_[i] = acc;
+    cdf[i] = acc;
   }
-  for (auto& v : cdf_) {
+  for (auto& v : cdf) {
     v /= acc;
   }
+  return cdf;
 }
 
+ZipfSampler::ZipfSampler(size_t n, double s) : cdf_(SharedZipfCdf(n, s)) {}
+
 size_t ZipfSampler::Sample(Rng& rng) const {
+  const std::vector<double>& cdf = *cdf_;
   double r = rng.NextDouble();
   size_t lo = 0;
-  size_t hi = cdf_.size() - 1;
+  size_t hi = cdf.size() - 1;
   while (lo < hi) {
     size_t mid = (lo + hi) / 2;
-    if (cdf_[mid] < r) {
+    if (cdf[mid] < r) {
       lo = mid + 1;
     } else {
       hi = mid;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 namespace clara {
 
@@ -53,12 +54,14 @@ Trace GenerateTrace(const WorkloadSpec& spec, size_t n_packets) {
   t.spec = spec;
   t.packets.reserve(n_packets);
   Rng rng(spec.seed);
-  ZipfSampler zipf(spec.num_flows, std::max(spec.zipf_s, 1e-6));
+  std::optional<ZipfSampler> zipf;
+  if (!(spec.zipf_s <= 0.0)) {
+    zipf.emplace(spec.num_flows, std::max(spec.zipf_s, 1e-6));
+  }
   uint64_t ts = 0;
   for (size_t i = 0; i < n_packets; ++i) {
-    uint32_t flow = spec.zipf_s <= 0.0
-                        ? static_cast<uint32_t>(rng.NextBounded(spec.num_flows))
-                        : static_cast<uint32_t>(zipf.Sample(rng));
+    uint32_t flow = zipf ? static_cast<uint32_t>(zipf->Sample(rng))
+                         : static_cast<uint32_t>(rng.NextBounded(spec.num_flows));
     Packet p = MakeFlowPacket(spec, flow, rng);
     if (p.ip_proto == kProtoTcp && rng.NextBool(spec.syn_ratio)) {
       p.tcp_flags = kTcpSyn;

@@ -6,6 +6,7 @@
 
 #include "src/elements/elements.h"
 #include "src/ir/builder.h"
+#include "src/ir/packet_fields.h"
 #include "src/lang/lower.h"
 
 namespace clara {
@@ -13,7 +14,6 @@ namespace {
 
 Module OneBlock(std::function<void(IrBuilder&)> fill, int nslots = 0) {
   Module m;
-  InstallStandardPacketFields(m);
   StateVar arr;
   arr.name = "arr";
   arr.kind = StateKind::kArray;
@@ -86,14 +86,14 @@ TEST(Backend, CompareFusesWithBranch) {
   // materialized (3 instrs).
   Module fused = OneBlock([](IrBuilder& b) {
     uint32_t other = b.NewBlock("other");
-    Value v = b.LoadPacket(static_cast<uint32_t>(b.module().FindPacketField("ip.src")));
+    Value v = b.LoadPacket(static_cast<uint32_t>(FindPacketFieldIndex("ip.src")));
     Value c = b.Compare(Opcode::kIcmpEq, v, Value::Const(5));
     b.CondBr(c, other, other);
     b.SetInsertPoint(other);
     b.Ret();
   });
   Module materialized = OneBlock([](IrBuilder& b) {
-    Value v = b.LoadPacket(static_cast<uint32_t>(b.module().FindPacketField("ip.src")));
+    Value v = b.LoadPacket(static_cast<uint32_t>(FindPacketFieldIndex("ip.src")));
     Value c = b.Compare(Opcode::kIcmpEq, v, Value::Const(5));
     b.Select(Type::kI32, c, Value::Const(1), Value::Const(2));
   });
@@ -107,7 +107,7 @@ TEST(Backend, ZextAfterLoadIsFree) {
   // zext of a load result costs nothing; zext of an ALU result costs a mask.
   auto loaded = [](bool with_zext) {
     return OneBlock([with_zext](IrBuilder& b) {
-      Value v = b.LoadPacket(static_cast<uint32_t>(b.module().FindPacketField("tcp.sport")));
+      Value v = b.LoadPacket(static_cast<uint32_t>(FindPacketFieldIndex("tcp.sport")));
       if (with_zext) {
         b.Cast(Opcode::kZext, Type::kI32, v);
       }
@@ -148,8 +148,8 @@ TEST(Backend, PacketWordCoalescing) {
   // ip.src (word 6) then ip.dst (word 7): two reads. Re-reading ip.src is a
   // free ld_field, no new memory access.
   Module m = OneBlock([](IrBuilder& b) {
-    uint32_t src = static_cast<uint32_t>(b.module().FindPacketField("ip.src"));
-    uint32_t dst = static_cast<uint32_t>(b.module().FindPacketField("ip.dst"));
+    uint32_t src = static_cast<uint32_t>(FindPacketFieldIndex("ip.src"));
+    uint32_t dst = static_cast<uint32_t>(FindPacketFieldIndex("ip.dst"));
     b.LoadPacket(src);
     b.LoadPacket(dst);
     b.LoadPacket(src);

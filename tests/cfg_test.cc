@@ -12,7 +12,6 @@ namespace {
 // A diamond: entry -> (then|else) -> join.
 Module Diamond() {
   Module m;
-  InstallStandardPacketFields(m);
   m.functions.emplace_back();
   Function& f = m.functions.back();
   IrBuilder b(m, f);
@@ -35,7 +34,6 @@ Module Diamond() {
 // A loop: entry -> header -> body -> header; header -> exit.
 Module Loop() {
   Module m;
-  InstallStandardPacketFields(m);
   m.functions.emplace_back();
   Function& f = m.functions.back();
   IrBuilder b(m, f);

@@ -11,6 +11,7 @@
 
 #include "gtest/gtest.h"
 #include "src/ir/builder.h"
+#include "src/ir/packet_fields.h"
 #include "src/lang/ast.h"
 #include "src/lang/interp.h"
 #include "src/nic/backend.h"
@@ -311,7 +312,6 @@ TEST(ExecDiffTest, ApiCallsAndAccelerators) {
 // returns the value to store to tcp.seq.
 void RunIsaOnly(const std::function<Value(IrBuilder&)>& emit) {
   Module m;
-  InstallStandardPacketFields(m);
   m.functions.emplace_back();
   Function& f = m.functions.back();
   f.name = "isa_only";
@@ -320,7 +320,7 @@ void RunIsaOnly(const std::function<Value(IrBuilder&)>& emit) {
   uint32_t entry = b.NewBlock("entry");
   b.SetInsertPoint(entry);
   Value v = emit(b);
-  b.StorePacket(static_cast<uint32_t>(m.FindPacketField("tcp.seq")),
+  b.StorePacket(static_cast<uint32_t>(FindPacketFieldIndex("tcp.seq")),
                 b.Cast(Opcode::kTrunc, Type::kI32, v));
   b.Ret();
 
@@ -344,8 +344,7 @@ void RunIsaOnly(const std::function<Value(IrBuilder&)>& emit) {
 
 TEST(ExecIsaTest, SextSelectAshr) {
   RunIsaOnly([](IrBuilder& b) {
-    Module& m = b.module();
-    Value ttl = b.LoadPacket(static_cast<uint32_t>(m.FindPacketField("ip.ttl")));
+    Value ttl = b.LoadPacket(static_cast<uint32_t>(FindPacketFieldIndex("ip.ttl")));
     Value wide = b.Cast(Opcode::kSext, Type::kI32, ttl);
     Value sh = b.Binary(Opcode::kAShr, Type::kI32, wide, Value::Const(3));
     Value cond = b.Compare(Opcode::kIcmpUgt, sh, Value::Const(4));
@@ -355,8 +354,7 @@ TEST(ExecIsaTest, SextSelectAshr) {
 
 TEST(ExecIsaTest, AshrSignFill) {
   RunIsaOnly([](IrBuilder& b) {
-    Module& m = b.module();
-    Value src = b.LoadPacket(static_cast<uint32_t>(m.FindPacketField("ip.src")));
+    Value src = b.LoadPacket(static_cast<uint32_t>(FindPacketFieldIndex("ip.src")));
     Value neg = b.Binary(Opcode::kOr, Type::kI32, src, Value::Const(0x80000000LL));
     return b.Binary(Opcode::kAShr, Type::kI32, neg, Value::Const(7));
   });

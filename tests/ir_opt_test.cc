@@ -14,7 +14,6 @@ namespace {
 
 Module OneBlockModule(std::function<void(IrBuilder&)> fill) {
   Module m;
-  InstallStandardPacketFields(m);
   StateVar sv;
   sv.name = "acc";
   sv.kind = StateKind::kScalar;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "src/ir/builder.h"
+#include "src/ir/packet_fields.h"
 #include "src/ir/classify.h"
 #include "src/ir/parser.h"
 #include "src/ir/printer.h"
@@ -12,7 +13,6 @@ namespace {
 Module MakeTinyModule() {
   Module m;
   m.name = "tiny";
-  InstallStandardPacketFields(m);
   StateVar counter;
   counter.name = "counter";
   counter.kind = StateKind::kScalar;
@@ -41,7 +41,7 @@ Module MakeTinyModule() {
   uint32_t then_b = b.NewBlock("then");
   uint32_t exit_b = b.NewBlock("exit");
   b.SetInsertPoint(entry);
-  Value src = b.LoadPacket(static_cast<uint32_t>(m.FindPacketField("ip.src")));
+  Value src = b.LoadPacket(static_cast<uint32_t>(FindPacketFieldIndex("ip.src")));
   Value sum = b.Binary(Opcode::kAdd, Type::kI32, src, Value::Const(7));
   b.StoreStack(slot, sum);
   Value x = b.LoadStack(slot);

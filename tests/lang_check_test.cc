@@ -55,6 +55,35 @@ TEST(Check, UnknownPacketFieldFails) {
   EXPECT_FALSE(CheckProgram(p).ok);
 }
 
+TEST(Check, WriteToReadOnlyPacketFieldFails) {
+  for (const char* field : {"pkt.len", "pkt.payload_len", "pkt.ts", "pkt.payload"}) {
+    Program p;
+    p.body.push_back(AssignPkt(field, Lit(1)));
+    CheckResult r = CheckProgram(p);
+    ASSERT_FALSE(r.ok) << field;
+    EXPECT_NE(r.errors[0].find("read-only"), std::string::npos) << r.errors[0];
+    EXPECT_NE(r.errors[0].find(field), std::string::npos) << r.errors[0];
+  }
+}
+
+TEST(Check, WriteToUnknownPacketFieldFails) {
+  Program p;
+  p.body.push_back(AssignPkt("ip.bogus", Lit(1)));
+  CheckResult r = CheckProgram(p);
+  ASSERT_FALSE(r.ok);
+  EXPECT_NE(r.errors[0].find("unknown packet field"), std::string::npos);
+}
+
+TEST(Check, WritableFieldsAcceptWrites) {
+  // Header fields and the pkt.in_port metadata are assignable; reading the
+  // read-only metadata stays legal.
+  Program p;
+  p.body.push_back(AssignPkt("ip.ttl", Lit(3)));
+  p.body.push_back(AssignPkt("pkt.in_port", PktField("pkt.len")));
+  p.body.push_back(AssignPkt("tcp.seq", PktField("pkt.ts")));
+  EXPECT_TRUE(CheckProgram(p).ok);
+}
+
 TEST(Check, WrongStateKindFails) {
   Program p;
   StateDecl arr;

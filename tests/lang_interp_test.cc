@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+
 #include "src/elements/elements.h"
 #include "src/nf/checksum.h"
 #include "src/workload/workload.h"
@@ -270,6 +273,158 @@ TEST(Interp, TimeFilterWindows) {
   c.ts_ns = 7'000'000'000ULL;  // new window
   nf.Process(c);
   EXPECT_EQ(nf.ReadScalar("window_count"), 1u);
+}
+
+// FNV-1a over everything a profile run produces: the NfProfile (block
+// counts, state reads/writes, the block x variable matrix, API calls,
+// sends/drops) and every field of every output packet.
+class Fingerprint {
+ public:
+  void U64(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ = (h_ ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+    }
+  }
+  void Str(const std::string& s) {
+    U64(s.size());
+    for (char c : s) {
+      U64(static_cast<uint8_t>(c));
+    }
+  }
+  void Vec(const std::vector<uint64_t>& v) {
+    U64(v.size());
+    for (uint64_t x : v) {
+      U64(x);
+    }
+  }
+  void Profile(const NfProfile& p) {
+    U64(p.packets);
+    U64(p.sends);
+    U64(p.drops);
+    Vec(p.block_exec);
+    Vec(p.state_reads);
+    Vec(p.state_writes);
+    U64(p.block_var_access.size());
+    for (const auto& row : p.block_var_access) {
+      Vec(row);
+    }
+    U64(p.api_calls.size());
+    for (const auto& [name, count] : p.api_calls) {
+      Str(name);
+      U64(count);
+    }
+  }
+  void Pkt(const Packet& p) {
+    for (uint64_t v : {uint64_t{p.eth_type}, uint64_t{p.ip_ihl}, uint64_t{p.ip_tos},
+                       uint64_t{p.ip_len}, uint64_t{p.ip_ttl}, uint64_t{p.ip_proto},
+                       uint64_t{p.ip_checksum}, uint64_t{p.src_ip}, uint64_t{p.dst_ip},
+                       uint64_t{p.sport}, uint64_t{p.dport}, uint64_t{p.tcp_seq},
+                       uint64_t{p.tcp_ack}, uint64_t{p.tcp_off}, uint64_t{p.tcp_flags},
+                       uint64_t{p.l4_checksum}, uint64_t{p.payload_len}, p.ts_ns,
+                       uint64_t{p.in_port}, uint64_t{p.wire_len},
+                       static_cast<uint64_t>(p.verdict), uint64_t{p.out_port}}) {
+      U64(v);
+    }
+    for (uint8_t b : p.payload) {
+      U64(b);
+    }
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+struct Golden {
+  const char* element;
+  bool small_flows;
+  uint64_t fingerprint;
+};
+
+// Pinned from the string-resolving interpreter this one replaced: profiles
+// and output packets must stay bit-identical, 4000 packets per run (the
+// analyzer's profile length).
+constexpr Golden kGolden[] = {
+    {"anonipaddr", true, 0x3bca59e3c439c93bULL},
+    {"anonipaddr", false, 0x99acc954367bad18ULL},
+    {"tcpack", true, 0xcc3163ed1d5424cdULL},
+    {"tcpack", false, 0x1ecde60081d4dc1cULL},
+    {"udpipencap", true, 0x05d1098b42eebf62ULL},
+    {"udpipencap", false, 0xc24af3a07a3c5886ULL},
+    {"forcetcp", true, 0x5a43984360f72f89ULL},
+    {"forcetcp", false, 0xc3cacd1ae483df85ULL},
+    {"tcpresp", true, 0x244439d3983ce4efULL},
+    {"tcpresp", false, 0xab86676d08e7598aULL},
+    {"tcpgen", true, 0x131abcf68d9e2e61ULL},
+    {"tcpgen", false, 0x07f04ac99872fcf2ULL},
+    {"aggcounter", true, 0x62b1da86832ceefdULL},
+    {"aggcounter", false, 0xd77d7011052d9281ULL},
+    {"timefilter", true, 0x93b02e73abc2f14dULL},
+    {"timefilter", false, 0x0165292fe1e17c41ULL},
+    {"webtcp", true, 0x2d856ffacf22643cULL},
+    {"webtcp", false, 0xc5e12c3f9b8165ffULL},
+    {"cmsketch", true, 0xe337a4f914f8890cULL},
+    {"cmsketch", false, 0x7af4e493807206a0ULL},
+    {"wepdecap", true, 0xa7151bb8f9110ebdULL},
+    {"wepdecap", false, 0x362799e8b248dfe7ULL},
+    {"iplookup", true, 0xfe2e6f1fd5656d84ULL},
+    {"iplookup", false, 0x3ba776ceb93c2840ULL},
+    {"dpi", true, 0xd87751f488390f33ULL},
+    {"dpi", false, 0x3f25c71b2d946fffULL},
+    {"firewall", true, 0x733e30aa05874614ULL},
+    {"firewall", false, 0x3298475a3fb15663ULL},
+    {"heavyhitter", true, 0x1ac1ed37d4560eceULL},
+    {"heavyhitter", false, 0xe0047de26023eca6ULL},
+    {"iprewriter", true, 0x88045465b778782bULL},
+    {"iprewriter", false, 0x15e75f729b7029f0ULL},
+    {"ipclassifier", true, 0x46554416fa6d1652ULL},
+    {"ipclassifier", false, 0x212f90f4d85afb30ULL},
+    {"dnsproxy", true, 0x91b8b33c13a145d4ULL},
+    {"dnsproxy", false, 0xa21f239285b70b88ULL},
+    {"mazunat", true, 0x99c2d6341cf076faULL},
+    {"mazunat", false, 0x868e8ff4c2956489ULL},
+    {"udpcount", true, 0xc24a8a2ac028a151ULL},
+    {"udpcount", false, 0xa5fd5ad25ec16f0dULL},
+    {"webgen", true, 0xe334933dfc4ccc8cULL},
+    {"webgen", false, 0x0f7157279e899ee3ULL},
+    {"tokenbucket", true, 0x86402e8114c6e461ULL},
+    {"tokenbucket", false, 0xbf23118802712c6dULL},
+    {"synflood", true, 0xc88a8f6b465cf784ULL},
+    {"synflood", false, 0x858bc9928ca48519ULL},
+};
+
+TEST(Interp, RegistryProfilesMatchGoldenFingerprints) {
+  size_t checked = 0;
+  for (const auto& info : ElementRegistry()) {
+    for (bool small : {true, false}) {
+      NfInstance nf(info.make());
+      ASSERT_TRUE(nf.ok()) << info.name << ": " << nf.error();
+      WorkloadSpec spec = small ? WorkloadSpec::SmallFlows() : WorkloadSpec::LargeFlows();
+      Trace trace = GenerateTrace(spec, 4000);
+      Fingerprint fp;
+      for (auto& pkt : trace.packets) {
+        nf.Process(pkt);
+        fp.Pkt(pkt);
+      }
+      fp.Profile(nf.profile());
+      const Golden* want = nullptr;
+      for (const Golden& g : kGolden) {
+        if (info.name == g.element && g.small_flows == small) {
+          want = &g;
+        }
+      }
+      char row[160];
+      std::snprintf(row, sizeof(row), "{\"%s\", %s, 0x%016" PRIx64 "ULL},", info.name.c_str(),
+                    small ? "true" : "false", fp.value());
+      if (want == nullptr) {
+        ADD_FAILURE() << "no golden row; measured " << row;
+        continue;
+      }
+      EXPECT_EQ(fp.value(), want->fingerprint) << "measured " << row;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, std::size(kGolden));
 }
 
 }  // namespace

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
 #include <numeric>
 #include <set>
+#include <thread>
+#include <utility>
 
 namespace clara {
 namespace {
@@ -125,6 +129,68 @@ TEST(ZipfSampler, CoversSupport) {
     seen.insert(zipf.Sample(rng));
   }
   EXPECT_EQ(seen.size(), 4u);
+}
+
+// Bitwise equality: the shared CDF must be the very doubles a fresh build
+// produces, not merely close.
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(ZipfSampler, SharedCdfMatchesFreshBuildBitForBit) {
+  for (auto [n, s] : {std::pair<size_t, double>{65536, 0.4}, {64, 1.1}, {1000, 1.2}}) {
+    ZipfSampler first(n, s);
+    ZipfSampler second(n, s);
+    EXPECT_EQ(&first.cdf(), &second.cdf()) << "(n, s) seen before reuses the CDF";
+    EXPECT_TRUE(SameBits(second.cdf(), ZipfSampler::BuildCdf(n, s))) << n << " " << s;
+  }
+}
+
+TEST(ZipfSampler, CdfAboveTheMemoLimitIsNotKept) {
+  // More ranks than the largest preset: built per sampler, never pinned.
+  ZipfSampler first(65537, 0.4);
+  ZipfSampler second(65537, 0.4);
+  EXPECT_NE(&first.cdf(), &second.cdf());
+  EXPECT_TRUE(SameBits(second.cdf(), ZipfSampler::BuildCdf(65537, 0.4)));
+}
+
+TEST(ZipfSampler, SharedSamplersDrawIdenticalStreams) {
+  ZipfSampler a(4096, 0.9);
+  ZipfSampler b(4096, 0.9);
+  Rng ra(37);
+  Rng rb(37);
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_EQ(a.Sample(ra), b.Sample(rb));
+  }
+}
+
+TEST(ZipfSampler, ConcurrentConstructionYieldsFreshBits) {
+  // Threads race to build and evict memo entries for more distinct (n, s)
+  // keys than the memo holds; every sampler must still see exact CDFs.
+  const std::vector<std::pair<size_t, double>> keys = {
+      {2048, 0.4}, {512, 1.1}, {1024, 0.7}, {256, 1.3}, {4096, 0.5}, {128, 0.9}};
+  std::vector<std::vector<double>> fresh;
+  for (const auto& [n, s] : keys) {
+    fresh.push_back(ZipfSampler::BuildCdf(n, s));
+  }
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 60; ++i) {
+        size_t k = static_cast<size_t>(i * 5 + t) % keys.size();
+        ZipfSampler z(keys[k].first, keys[k].second);
+        if (!SameBits(z.cdf(), fresh[k])) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

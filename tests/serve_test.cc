@@ -467,6 +467,25 @@ TEST(Proto, MalformedRequestRejected) {
   EXPECT_NE(error.find("neither"), std::string::npos) << error;
 }
 
+TEST(Proto, OutOfRangeNumFlowsRejected) {
+  for (uint32_t flows : {0u, serve::kMaxWorkloadFlows + 1, 0xffffffffu}) {
+    serve::InsightRequest req;
+    req.element = "aggcounter";
+    req.workload = WorkloadSpec::SmallFlows();
+    req.workload.num_flows = flows;
+    serve::InsightRequest out;
+    std::string error;
+    EXPECT_FALSE(serve::ParseRequest(serve::EncodeRequest(req), &out, &error)) << flows;
+    EXPECT_NE(error.find("num_flows"), std::string::npos) << error;
+  }
+  serve::InsightRequest edge;
+  edge.element = "aggcounter";
+  edge.workload.num_flows = serve::kMaxWorkloadFlows;
+  serve::InsightRequest out;
+  std::string error;
+  EXPECT_TRUE(serve::ParseRequest(serve::EncodeRequest(edge), &out, &error)) << error;
+}
+
 TEST(Proto, FrameReaderReassemblesSplitFrames) {
   std::string stream;
   serve::AppendFrame(&stream, "alpha");
@@ -570,6 +589,29 @@ TEST(Engine, InlineSourceHitsTheSameCacheEntryAsTheElement) {
   EXPECT_EQ(serve::EncodeResponseBody(by_name), serve::EncodeResponseBody(by_source));
 }
 
+TEST(Engine, InlineSourceOfATableElementDoesNotReplayTheByNameBody) {
+  // ToSource omits iplookup's trie contents, so its inline rendering is a
+  // different program: it must get its own cache entry and its own answer,
+  // whichever order the two requests arrive in.
+  serve::InsightRequest inline_req;
+  inline_req.id = 2;
+  inline_req.source = ToSource(MakeElementByName("iplookup"));
+  inline_req.workload = WorkloadSpec::SmallFlows();
+
+  serve::ServeEngine fresh(ReloadedBundle(), FastServeOptions());
+  serve::InsightResponse inline_alone = fresh.Handle(serve::InsightRequest(inline_req));
+  ASSERT_EQ(inline_alone.error, serve::ErrorCode::kOk) << inline_alone.error_message;
+
+  serve::ServeEngine engine(ReloadedBundle(), FastServeOptions());
+  serve::InsightResponse by_name = engine.Handle(ElementRequest(1, "iplookup"));
+  ASSERT_EQ(by_name.error, serve::ErrorCode::kOk) << by_name.error_message;
+  serve::InsightResponse by_source = engine.Handle(serve::InsightRequest(inline_req));
+  ASSERT_EQ(by_source.error, serve::ErrorCode::kOk) << by_source.error_message;
+  EXPECT_EQ(engine.cache_entries(), 2u);
+  EXPECT_EQ(serve::EncodeResponseBody(by_source), serve::EncodeResponseBody(inline_alone));
+  EXPECT_NE(serve::EncodeResponseBody(by_source), serve::EncodeResponseBody(by_name));
+}
+
 TEST(Engine, ConcurrentRequestsAreAnswered) {
   serve::ServeEngine engine(ReloadedBundle(), FastServeOptions());
   engine.Start();
@@ -628,6 +670,12 @@ TEST(Engine, StructuredErrorsNeverCrash) {
   std::string encoded = engine.HandlePayload("garbage payload");
   serve::InsightResponse decoded;
   std::string error;
+  ASSERT_TRUE(serve::ParseResponse(encoded, &decoded, &error)) << error;
+  EXPECT_EQ(decoded.error, serve::ErrorCode::kBadRequest);
+  // A workload without flows has no trace to profile: refused at decode.
+  serve::InsightRequest no_flows = ElementRequest(3, "aggcounter");
+  no_flows.workload.num_flows = 0;
+  encoded = engine.HandlePayload(serve::EncodeRequest(no_flows));
   ASSERT_TRUE(serve::ParseResponse(encoded, &decoded, &error)) << error;
   EXPECT_EQ(decoded.error, serve::ErrorCode::kBadRequest);
 }

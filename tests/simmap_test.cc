@@ -8,6 +8,9 @@
 namespace clara {
 namespace {
 
+// Keys or values of one map operation.
+using K = std::vector<uint64_t>;
+
 StateDecl NicMapDecl(uint32_t capacity = 64, uint32_t spb = 4) {
   StateDecl d;
   d.name = "m";
@@ -28,7 +31,7 @@ StateDecl HostMapDecl(uint32_t capacity = 64) {
 
 TEST(SimMap, FindMissOnEmptyStopsImmediately) {
   SimMap m(NicMapDecl());
-  auto r = m.Find({42}, nullptr);
+  auto r = m.Find(K{42}, nullptr);
   EXPECT_FALSE(r.found);
   EXPECT_TRUE(r.stopped_empty);
   EXPECT_EQ(r.probes, 1u);
@@ -37,10 +40,10 @@ TEST(SimMap, FindMissOnEmptyStopsImmediately) {
 
 TEST(SimMap, InsertThenFindReturnsValue) {
   SimMap m(NicMapDecl());
-  auto ri = m.Insert({42}, {777});
+  auto ri = m.Insert(K{42}, K{777});
   EXPECT_TRUE(ri.found);
-  std::vector<uint64_t> vals;
-  auto rf = m.Find({42}, &vals);
+  std::vector<uint64_t> vals(1);
+  auto rf = m.Find(K{42}, vals.data());
   EXPECT_TRUE(rf.found);
   ASSERT_EQ(vals.size(), 1u);
   EXPECT_EQ(vals[0], 777u);
@@ -49,11 +52,11 @@ TEST(SimMap, InsertThenFindReturnsValue) {
 
 TEST(SimMap, OverwriteDoesNotGrow) {
   SimMap m(NicMapDecl());
-  m.Insert({42}, {1});
-  m.Insert({42}, {2});
+  m.Insert(K{42}, K{1});
+  m.Insert(K{42}, K{2});
   EXPECT_EQ(m.entries(), 1u);
-  std::vector<uint64_t> vals;
-  m.Find({42}, &vals);
+  std::vector<uint64_t> vals(1);
+  m.Find(K{42}, vals.data());
   EXPECT_EQ(vals[0], 2u);
 }
 
@@ -62,10 +65,10 @@ TEST(SimMap, NicBucketBoundsProbes) {
   // Probes never exceed slots-per-bucket regardless of occupancy.
   Rng rng(3);
   for (int i = 0; i < 200; ++i) {
-    m.Insert({rng.NextBounded(1000) + 1}, {1});
+    m.Insert(K{rng.NextBounded(1000) + 1}, K{1});
   }
   for (int i = 0; i < 200; ++i) {
-    auto r = m.Find({rng.NextBounded(1000) + 1}, nullptr);
+    auto r = m.Find(K{rng.NextBounded(1000) + 1}, nullptr);
     EXPECT_LE(r.probes, 4u);
   }
 }
@@ -76,7 +79,7 @@ TEST(SimMap, NicBucketOverflowFailsInsert) {
   SimMap m(d);
   int ok = 0;
   for (uint64_t k = 1; k <= 3; ++k) {
-    auto r = m.Insert({k}, {k});
+    auto r = m.Insert(K{k}, K{k});
     ok += r.found ? 1 : 0;
     if (!r.found) {
       EXPECT_TRUE(r.exhausted);
@@ -90,11 +93,11 @@ TEST(SimMap, HostProbeWrapsAround) {
   // small table and verify everything is still findable.
   SimMap m(HostMapDecl(16));
   for (uint64_t k = 1; k <= 12; ++k) {
-    ASSERT_TRUE(m.Insert({k * 7919}, {k}).found);
+    ASSERT_TRUE(m.Insert(K{k * 7919}, K{k}).found);
   }
   for (uint64_t k = 1; k <= 12; ++k) {
-    std::vector<uint64_t> vals;
-    auto r = m.Find({k * 7919}, &vals);
+    std::vector<uint64_t> vals(1);
+    auto r = m.Find(K{k * 7919}, vals.data());
     ASSERT_TRUE(r.found);
     EXPECT_EQ(vals[0], k);
   }
@@ -102,13 +105,13 @@ TEST(SimMap, HostProbeWrapsAround) {
 
 TEST(SimMap, EraseMarksInvalidOnly) {
   SimMap m(NicMapDecl());
-  m.Insert({5}, {50});
-  auto re = m.Erase({5});
+  m.Insert(K{5}, K{50});
+  auto re = m.Erase(K{5});
   EXPECT_TRUE(re.found);
   EXPECT_EQ(m.entries(), 0u);
-  EXPECT_FALSE(m.Find({5}, nullptr).found);
+  EXPECT_FALSE(m.Find(K{5}, nullptr).found);
   // Slot is reusable.
-  EXPECT_TRUE(m.Insert({5}, {51}).found);
+  EXPECT_TRUE(m.Insert(K{5}, K{51}).found);
 }
 
 TEST(SimMap, ProbeAccountingInvariants) {
@@ -120,9 +123,9 @@ TEST(SimMap, ProbeAccountingInvariants) {
     uint64_t k = rng.NextBounded(60) + 1;
     SimMap::OpResult r;
     switch (rng.NextBounded(3)) {
-      case 0: r = m.Insert({k}, {k}); break;
-      case 1: r = m.Find({k}, nullptr); break;
-      default: r = m.Erase({k}); break;
+      case 0: r = m.Insert(K{k}, K{k}); break;
+      case 1: r = m.Find(K{k}, nullptr); break;
+      default: r = m.Erase(K{k}); break;
     }
     if (r.exhausted) {
       ASSERT_EQ(r.continues, r.probes);
@@ -141,21 +144,21 @@ TEST(SimMap, MultiKeyFieldsMatchAllFields) {
   d.capacity = 64;
   d.impl = MapImpl::kNicFixedBucket;
   SimMap m(d);
-  m.Insert({100, 7}, {1});
-  EXPECT_TRUE(m.Find({100, 7}, nullptr).found);
-  EXPECT_FALSE(m.Find({100, 8}, nullptr).found);
-  EXPECT_FALSE(m.Find({101, 7}, nullptr).found);
+  m.Insert(K{100, 7}, K{1});
+  EXPECT_TRUE(m.Find(K{100, 7}, nullptr).found);
+  EXPECT_FALSE(m.Find(K{100, 8}, nullptr).found);
+  EXPECT_FALSE(m.Find(K{101, 7}, nullptr).found);
 }
 
 TEST(SimMap, ClearEmptiesEverything) {
   SimMap m(NicMapDecl());
   for (uint64_t k = 1; k < 20; ++k) {
-    m.Insert({k}, {k});
+    m.Insert(K{k}, K{k});
   }
   m.Clear();
   EXPECT_EQ(m.entries(), 0u);
   for (uint64_t k = 1; k < 20; ++k) {
-    EXPECT_FALSE(m.Find({k}, nullptr).found);
+    EXPECT_FALSE(m.Find(K{k}, nullptr).found);
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "src/elements/elements.h"
 #include "src/ir/builder.h"
+#include "src/ir/packet_fields.h"
 #include "src/lang/lower.h"
 
 namespace clara {
@@ -13,7 +14,6 @@ namespace {
 
 Module OneBlock(std::function<void(IrBuilder&)> fill) {
   Module m;
-  InstallStandardPacketFields(m);
   m.functions.emplace_back();
   IrBuilder b(m, m.functions.back());
   b.SetInsertPoint(b.NewBlock("entry"));
@@ -24,7 +24,7 @@ Module OneBlock(std::function<void(IrBuilder&)> fill) {
 
 TEST(Vocab, AbstractsOperandsToKinds) {
   Module m = OneBlock([](IrBuilder& b) {
-    Value x = b.LoadPacket(static_cast<uint32_t>(b.module().FindPacketField("ip.src")));
+    Value x = b.LoadPacket(static_cast<uint32_t>(FindPacketFieldIndex("ip.src")));
     b.Binary(Opcode::kAdd, Type::kI32, x, Value::Const(2));
     b.Binary(Opcode::kAdd, Type::kI32, x, Value::Const(70000));
   });

@@ -507,7 +507,8 @@ std::string BaseServeBytes(Rng& rng, const std::string& target,
     req.id = rng.NextU64();
     req.element = RandomBytes(rng, 24);
     req.source = RandomBytes(rng, 120);
-    req.workload.num_flows = static_cast<uint32_t>(rng.NextU64());
+    // In range, so unmutated requests reach the accepted-request checks.
+    req.workload.num_flows = static_cast<uint32_t>(1 + rng.NextBounded(serve::kMaxWorkloadFlows));
     req.workload.zipf_s = rng.NextDouble();
     req.workload.seed = rng.NextU64();
     req.deadline_ms = static_cast<uint32_t>(rng.NextBounded(5000));
