@@ -64,8 +64,48 @@ SimMap::SimMap(const StateDecl& decl)
     buckets_ = 0;
     slot_count_ = decl.capacity == 0 ? 1 : decl.capacity;
   }
-  keys_.assign(slot_count_ * nkeys_, 0);
-  values_.assign(slot_count_ * nvals_, 0);
+  zero_row_.assign(nkeys_ + nvals_, 0);
+}
+
+size_t SimMap::IndexPos(uint64_t slot) const {
+  size_t mask = index_.size() - 1;
+  size_t pos = static_cast<size_t>((slot * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
+  while (index_[pos].slot_plus1 != 0 && index_[pos].slot_plus1 != slot + 1) {
+    pos = (pos + 1) & mask;
+  }
+  return pos;
+}
+
+const uint64_t* SimMap::Row(uint64_t slot) const {
+  if (index_.empty()) {
+    return zero_row_.data();
+  }
+  const IndexEntry& e = index_[IndexPos(slot)];
+  return e.slot_plus1 == 0 ? zero_row_.data() : &rows_[e.row * zero_row_.size()];
+}
+
+uint64_t* SimMap::MutableRow(uint64_t slot) {
+  size_t stride = zero_row_.size();
+  size_t nrows = rows_.size() / std::max<size_t>(stride, 1);
+  if (!index_.empty()) {
+    const IndexEntry& e = index_[IndexPos(slot)];
+    if (e.slot_plus1 != 0) {
+      return &rows_[e.row * stride];
+    }
+  }
+  // Keep the index at most half full: grow (and rehash) before inserting.
+  if (2 * (nrows + 1) > index_.size()) {
+    std::vector<IndexEntry> old = std::move(index_);
+    index_.assign(std::max<size_t>(16, old.size() * 2), IndexEntry{0, 0});
+    for (const IndexEntry& e : old) {
+      if (e.slot_plus1 != 0) {
+        index_[IndexPos(e.slot_plus1 - 1)] = e;
+      }
+    }
+  }
+  index_[IndexPos(slot)] = IndexEntry{slot + 1, static_cast<uint32_t>(nrows)};
+  rows_.resize(rows_.size() + stride, 0);
+  return &rows_[nrows * stride];
 }
 
 SimMap::Probe SimMap::StartProbe(std::span<const uint64_t> keys) const {
@@ -80,9 +120,9 @@ uint64_t SimMap::Advance(uint64_t idx) const {
   return nic_ ? idx + 1 : (idx + 1) % slot_count_;
 }
 
-bool SimMap::KeyMatches(uint64_t idx, std::span<const uint64_t> keys) const {
+bool SimMap::KeyMatches(const uint64_t* row, std::span<const uint64_t> keys) const {
   for (size_t i = 0; i < nkeys_; ++i) {
-    if (keys_[idx * nkeys_ + i] != keys[i]) {
+    if (row[i] != keys[i]) {
       return false;
     }
   }
@@ -95,15 +135,16 @@ SimMap::OpResult SimMap::Find(std::span<const uint64_t> keys, uint64_t* values_o
   uint64_t idx = p.start;
   for (uint32_t n = 0; n < p.bound; ++n) {
     ++r.probes;
-    if (KeyMatches(idx, keys)) {
+    const uint64_t* row = Row(idx);
+    if (KeyMatches(row, keys)) {
       r.found = true;
       r.index = idx;
       if (values_out != nullptr) {
-        std::copy_n(values_.begin() + idx * nvals_, nvals_, values_out);
+        std::copy_n(row + nkeys_, nvals_, values_out);
       }
       return r;
     }
-    if (keys_[idx * nkeys_] == 0) {
+    if (row[0] == 0) {
       r.stopped_empty = true;
       return r;
     }
@@ -121,18 +162,18 @@ SimMap::OpResult SimMap::Insert(std::span<const uint64_t> keys,
   uint64_t idx = p.start;
   for (uint32_t n = 0; n < p.bound; ++n) {
     ++r.probes;
-    bool match = KeyMatches(idx, keys);
-    bool empty = keys_[idx * nkeys_] == 0;
+    const uint64_t* row = Row(idx);
+    bool match = KeyMatches(row, keys);
+    bool empty = row[0] == 0;
     if (match || empty) {
       if (empty && !match) {
         r.stopped_empty = true;
         ++entries_;
       }
-      for (size_t i = 0; i < nkeys_; ++i) {
-        keys_[idx * nkeys_ + i] = keys[i];
-      }
+      uint64_t* out = MutableRow(idx);
+      std::copy_n(keys.begin(), nkeys_, out);
       for (size_t i = 0; i < nvals_ && i < values.size(); ++i) {
-        values_[idx * nvals_ + i] = values[i];
+        out[nkeys_ + i] = values[i];
       }
       r.found = true;
       r.index = idx;
@@ -151,8 +192,11 @@ SimMap::OpResult SimMap::Erase(std::span<const uint64_t> keys) {
   uint64_t idx = p.start;
   for (uint32_t n = 0; n < p.bound; ++n) {
     ++r.probes;
-    if (KeyMatches(idx, keys)) {
-      keys_[idx * nkeys_] = 0;  // mark invalid only (paper §3.3)
+    const uint64_t* row = Row(idx);
+    if (KeyMatches(row, keys)) {
+      if (row[0] != 0) {
+        MutableRow(idx)[0] = 0;  // mark invalid only (paper §3.3)
+      }
       r.found = true;
       r.index = idx;
       if (entries_ > 0) {
@@ -160,7 +204,7 @@ SimMap::OpResult SimMap::Erase(std::span<const uint64_t> keys) {
       }
       return r;
     }
-    if (keys_[idx * nkeys_] == 0) {
+    if (row[0] == 0) {
       r.stopped_empty = true;
       return r;
     }
@@ -172,8 +216,8 @@ SimMap::OpResult SimMap::Erase(std::span<const uint64_t> keys) {
 }
 
 void SimMap::Clear() {
-  std::fill(keys_.begin(), keys_.end(), 0);
-  std::fill(values_.begin(), values_.end(), 0);
+  rows_.clear();
+  index_.clear();
   entries_ = 0;
 }
 

@@ -35,6 +35,11 @@ class Counter;
 // A hash map with the probe behaviour of the lowered IR: bounded scan,
 // key0 == 0 means empty, NIC variant probes within a fixed bucket, host
 // variant probes linearly with wraparound.
+//
+// Slots are stored sparsely: a row (keys then values) exists only for a slot
+// that was ever written, and an untouched slot reads as all zeros. Building
+// a map therefore costs nothing in its capacity (mazunat declares 32k-slot
+// tables), and its memory grows with the slots a workload touches.
 class SimMap {
  public:
   explicit SimMap(const StateDecl& decl);
@@ -64,17 +69,28 @@ class SimMap {
   // backing-store byte image.
   size_t num_keys() const { return nkeys_; }
   size_t num_values() const { return nvals_; }
-  uint64_t KeyAt(size_t slot, size_t k) const { return keys_[slot * nkeys_ + k]; }
-  uint64_t ValueAt(size_t slot, size_t v) const { return values_[slot * nvals_ + v]; }
+  uint64_t KeyAt(size_t slot, size_t k) const { return Row(slot)[k]; }
+  uint64_t ValueAt(size_t slot, size_t v) const { return Row(slot)[nkeys_ + v]; }
 
  private:
   struct Probe {
     uint64_t start;
     uint32_t bound;
   };
+  // One index entry: slot + 1 (0 marks a free entry) and its row number.
+  struct IndexEntry {
+    uint64_t slot_plus1;
+    uint32_t row;
+  };
   Probe StartProbe(std::span<const uint64_t> keys) const;
   uint64_t Advance(uint64_t idx) const;
-  bool KeyMatches(uint64_t idx, std::span<const uint64_t> keys) const;
+  bool KeyMatches(const uint64_t* row, std::span<const uint64_t> keys) const;
+  // Index position of `slot`: its entry, or the free entry it would take.
+  size_t IndexPos(uint64_t slot) const;
+  // The slot's row; the shared zero row when the slot was never written.
+  const uint64_t* Row(uint64_t slot) const;
+  // The slot's row, created zeroed on first write. Valid until the next call.
+  uint64_t* MutableRow(uint64_t slot);
 
   size_t nkeys_;
   size_t nvals_;
@@ -83,8 +99,9 @@ class SimMap {
   uint32_t buckets_;
   size_t slot_count_;
   size_t entries_ = 0;
-  std::vector<uint64_t> keys_;    // slot-major
-  std::vector<uint64_t> values_;  // slot-major
+  std::vector<uint64_t> zero_row_;   // nkeys_ + nvals_ zeros
+  std::vector<uint64_t> rows_;       // written rows, (nkeys_ + nvals_) words each
+  std::vector<IndexEntry> index_;    // open-addressed slot -> row; size 0 or 2^k
 };
 
 // Workload-specific execution profile.

@@ -8,26 +8,18 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
 #include "src/util/fault.h"
+#include "src/util/parallel.h"
 
 namespace clara {
 namespace serve {
 
 namespace {
-
-size_t AutoShards() {
-  size_t hw = std::thread::hardware_concurrency();
-  if (hw == 0) {
-    hw = 2;
-  }
-  return std::max<size_t>(1, std::min<size_t>(4, hw / 2));
-}
 
 void BumpCounter(const char* name) {
   if (obs::Enabled()) {
@@ -44,9 +36,9 @@ void MoveGauge(const char* name, double delta) {
 }  // namespace
 
 EventLoop::EventLoop(ServeEngine& engine, EventLoopOptions opts)
-    : engine_(engine), opts_(std::move(opts)) {
-  nshards_ = opts_.shards == 0 ? AutoShards() : opts_.shards;
-}
+    : engine_(engine),
+      opts_(std::move(opts)),
+      nworkers_(static_cast<size_t>(NumThreads())) {}
 
 EventLoop::~EventLoop() {
   if (listener_ >= 0) {
@@ -104,10 +96,6 @@ bool EventLoop::Init(std::string* error) {
     *error = std::string("epoll_ctl(eventfd): ") + std::strerror(errno);
     return false;
   }
-  shard_q_.clear();
-  for (size_t i = 0; i < nshards_; ++i) {
-    shard_q_.push_back(std::make_unique<Shard>());
-  }
   return true;
 }
 
@@ -122,32 +110,50 @@ void EventLoop::NotifyLoop(const std::shared_ptr<Conn>& conn) {
   (void)!::write(wake_, &one, sizeof(one));
 }
 
-void EventLoop::WorkerLoop(size_t shard) {
-  Shard& q = *shard_q_[shard];
+void EventLoop::PushReady(std::shared_ptr<Conn> conn) {
+  {
+    std::lock_guard<std::mutex> lock(ready_mu_);
+    ready_.push_back(std::move(conn));
+  }
+  ready_cv_.notify_one();
+}
+
+void EventLoop::WorkerLoop() {
   for (;;) {
-    Task task;
+    std::shared_ptr<Conn> conn;
     {
-      std::unique_lock<std::mutex> lock(q.mu);
-      q.cv.wait(lock, [&] {
-        return !q.tasks.empty() || workers_stop_.load(std::memory_order_acquire);
+      std::unique_lock<std::mutex> lock(ready_mu_);
+      ready_cv_.wait(lock, [&] {
+        return !ready_.empty() || workers_stop_.load(std::memory_order_acquire);
       });
-      if (q.tasks.empty()) {
+      if (ready_.empty()) {
         return;  // stop requested and the queue is drained
       }
-      task = std::move(q.tasks.front());
-      q.tasks.pop_front();
+      conn = std::move(ready_.front());
+      ready_.pop_front();
     }
-    ProcessTask(std::move(task));
+    ServeConn(conn);
   }
 }
 
-void EventLoop::ProcessTask(Task task) {
+void EventLoop::ServeConn(const std::shared_ptr<Conn>& conn) {
+  std::vector<std::string> frames;
+  {
+    std::lock_guard<std::mutex> lock(conn->out_mu);
+    if (conn->closed || conn->batches.empty()) {
+      conn->ready = false;  // closed: CloseConn dropped the batches
+      return;
+    }
+    frames = std::move(conn->batches.front());
+    conn->batches.pop_front();
+  }
+
   // Mirror of the sequential transport's per-read-batch handling: parse
   // failures answer immediately, everything else is Submit()ed together so
   // the engine can micro-batch, and responses land in frame order.
   std::string out;
   std::vector<std::future<InsightResponse>> futures;
-  for (const std::string& frame : task.frames) {
+  for (const std::string& frame : frames) {
     InsightRequest req;
     std::string err;
     if (!ParseRequest(frame, &req, &err)) {
@@ -162,18 +168,23 @@ void EventLoop::ProcessTask(Task task) {
     AppendFrame(&out, EncodeResponse(f.get()));
   }
 
-  const std::shared_ptr<Conn>& conn = task.conn;
+  bool more;
   {
     std::lock_guard<std::mutex> lock(conn->out_mu);
-    --conn->in_flight;
     if (!conn->closed) {
+      --conn->in_flight;
       conn->outbound += out;
       if (conn->outbound.size() > opts_.max_outbound_bytes) {
         conn->overflow = true;
       }
     }
+    more = !conn->closed && !conn->batches.empty();
+    conn->ready = more;
   }
   NotifyLoop(conn);
+  if (more) {
+    PushReady(conn);  // to the back: other connections get a turn first
+  }
 }
 
 bool EventLoop::AppendOutbound(const std::shared_ptr<Conn>& conn,
@@ -258,6 +269,10 @@ void EventLoop::CloseConn(const std::shared_ptr<Conn>& conn, bool error, bool sl
     }
     conn->closed = true;
     conn->outbound.clear();
+    // Queued batches are dropped unanswered; a running one finishes and its
+    // output is discarded.
+    conn->batches.clear();
+    conn->in_flight = 0;
   }
   ::epoll_ctl(epoll_, EPOLL_CTL_DEL, conn->fd, nullptr);
   ::close(conn->fd);
@@ -323,7 +338,6 @@ void EventLoop::HandleListener() {
     auto conn = std::make_shared<Conn>();
     conn->fd = fd;
     conn->id = next_conn_id_++;
-    conn->shard = conn->id % nshards_;
     struct epoll_event ev;
     std::memset(&ev, 0, sizeof(ev));
     ev.events = EPOLLIN;
@@ -381,8 +395,7 @@ void EventLoop::HandleConnReadable(const std::shared_ptr<Conn>& conn) {
     UpdateEpollInterest(conn);
   }
 
-  Task task;
-  task.conn = conn;
+  std::vector<std::string> batch;
   std::string inline_out;
   std::string frame;
   while (conn->reader.Next(&frame)) {
@@ -393,7 +406,7 @@ void EventLoop::HandleConnReadable(const std::shared_ptr<Conn>& conn) {
       AppendFrame(&inline_out, engine_.HandleControl(frame));
       continue;
     }
-    task.frames.push_back(std::move(frame));
+    batch.push_back(std::move(frame));
   }
   for (size_t i = conn->reader.TakeOversized(); i > 0; --i) {
     oversized_.fetch_add(1, std::memory_order_relaxed);
@@ -405,20 +418,21 @@ void EventLoop::HandleConnReadable(const std::shared_ptr<Conn>& conn) {
     AppendOutbound(conn, inline_out);
     FlushConn(conn);
   }
-  if (!task.frames.empty()) {
+  if (!batch.empty()) {
+    bool push;
     {
       std::lock_guard<std::mutex> lock(conn->out_mu);
       if (conn->closed) {
         return;
       }
+      conn->batches.push_back(std::move(batch));
       ++conn->in_flight;
+      push = !conn->ready;
+      conn->ready = true;
     }
-    Shard& q = *shard_q_[conn->shard];
-    {
-      std::lock_guard<std::mutex> lock(q.mu);
-      q.tasks.push_back(std::move(task));
+    if (push) {
+      PushReady(conn);
     }
-    q.cv.notify_one();
   }
   MaybeFinishConn(conn);
 }
@@ -446,8 +460,8 @@ void EventLoop::DrainCompletions() {
 int EventLoop::Run(const std::atomic<int>* stop, const std::function<void()>& tick) {
   workers_stop_.store(false, std::memory_order_release);
   workers_.clear();
-  for (size_t i = 0; i < nshards_; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+  for (size_t i = 0; i < nworkers_; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 
   struct epoll_event events[64];
@@ -495,12 +509,13 @@ int EventLoop::Run(const std::atomic<int>* stop, const std::function<void()>& ti
     }
   }
 
-  // Drain the shard queues (workers finish everything already handed to
-  // them), give each connection one best-effort flush, then tear down.
-  workers_stop_.store(true, std::memory_order_release);
-  for (auto& s : shard_q_) {
-    s->cv.notify_all();
+  // Drain the ready queue (workers finish every batch already read), give
+  // each connection one best-effort flush, then tear down.
+  {
+    std::lock_guard<std::mutex> lock(ready_mu_);
+    workers_stop_.store(true, std::memory_order_release);
   }
+  ready_cv_.notify_all();
   for (auto& w : workers_) {
     w.join();
   }
@@ -526,7 +541,7 @@ int EventLoop::Run(const std::atomic<int>* stop, const std::function<void()>& ti
 std::string EventLoop::StatsJson() const {
   std::string j = "{";
   j += "\"mode\":\"epoll\",";
-  j += "\"shards\":" + std::to_string(nshards_) + ",";
+  j += "\"workers\":" + std::to_string(nworkers_) + ",";
   j += "\"conn_active\":" + std::to_string(active()) + ",";
   j += "\"conn_peak\":" +
        std::to_string(peak_active_.load(std::memory_order_relaxed)) + ",";

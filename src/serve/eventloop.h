@@ -8,14 +8,18 @@
 //     every fd. Each accepted connection carries its own FrameReader, so
 //     partial frames interleaved across connections reassemble independently
 //     — a client dribbling one byte at a time never stalls anyone else.
-//   * A sharded worker pool bridges the loop to the ServeEngine admission
-//     queue: complete insight frames are handed to the connection's shard
-//     (shard = connection id % shards), which parses, Submit()s, waits on
-//     the futures, and appends the encoded responses to the connection's
-//     outbound buffer. Pinning a connection to one shard preserves
-//     per-connection response ordering while separate connections proceed in
-//     parallel; the engine still micro-batches across shards because
-//     Submit() is the shared funnel.
+//   * A pool of NumThreads() workers bridges the loop to the ServeEngine
+//     admission queue through one shared ready queue of connections. Each
+//     connection queues its batches of complete insight frames (one batch
+//     per read drain); a worker takes the connection's oldest batch, parses
+//     it, Submit()s every frame, waits on the futures and appends the
+//     encoded responses to the outbound buffer. A connection has at most one
+//     batch in flight and sits on the ready queue at most once, so its
+//     responses keep request order, while any free worker serves any
+//     connection: as many requests reach the engine at once as there are
+//     busy connections, up to the worker count.
+//   * Closing a connection drops its queued batches, so a disconnected slow
+//     reader's backlog never reaches the engine.
 //   * Control frames (stats/health/dump/reload) are answered inline on the
 //     loop thread, ahead of everything queued — the control plane stays
 //     responsive when the request queue is saturated.
@@ -29,10 +33,10 @@
 //     numbers as the "transport" object of the stats envelope.
 //
 // The loop thread owns fds and the epoll set exclusively; workers only touch
-// a connection's outbound buffer (under its mutex) and wake the loop through
-// an eventfd. Fault-injection sites sock.accept/sock.read/sock.write behave
-// as in the sequential transport: an injected fault costs that connection,
-// never the daemon.
+// a connection's batch queue and outbound buffer (under its mutex) and wake
+// the loop through an eventfd. Fault-injection sites sock.accept/sock.read/
+// sock.write behave as in the sequential transport: an injected fault costs
+// that connection, never the daemon.
 #ifndef SRC_SERVE_EVENTLOOP_H_
 #define SRC_SERVE_EVENTLOOP_H_
 
@@ -56,9 +60,6 @@ namespace serve {
 
 struct EventLoopOptions {
   std::string socket_path;
-  // Worker threads bridging frames to ServeEngine::Submit(). 0 = auto
-  // (min(4, hardware_concurrency/2), at least 1).
-  size_t shards = 0;
   // Per-connection outbound buffer cap; exceeding it disconnects the client
   // (slow-reader backpressure).
   size_t max_outbound_bytes = 4u << 20;
@@ -86,14 +87,16 @@ class EventLoop {
   // async-signal-safe) and a test thread can set it. `tick` runs on the loop
   // thread at least every ~100 ms and after every signal interruption — the
   // daemon polls its signal flags there. Returns 0 on a clean stop. Joins
-  // the shard workers and closes every fd before returning; the listener
-  // socket file is unlinked.
+  // the workers and closes every fd before returning; the listener socket
+  // file is unlinked.
   int Run(const std::atomic<int>* stop, const std::function<void()>& tick = {});
 
   // Transport stats as one JSON object (the stats envelope's "transport").
   std::string StatsJson() const;
 
-  size_t shards() const { return nshards_; }
+  // Worker threads bridging connections to ServeEngine::Submit():
+  // NumThreads() when the loop was built.
+  size_t workers() const { return nworkers_; }
   uint64_t accepted() const { return accepted_.load(std::memory_order_relaxed); }
   uint64_t closed() const { return closed_.load(std::memory_order_relaxed); }
   uint64_t active() const { return active_.load(std::memory_order_relaxed); }
@@ -105,32 +108,30 @@ class EventLoop {
 
  private:
   // Per-connection state. The loop thread owns fd/reader/epoll membership;
-  // `out_mu` guards everything a shard worker may touch.
+  // `out_mu` guards everything a worker may touch.
   struct Conn {
     int fd = -1;
     uint64_t id = 0;
-    size_t shard = 0;
 
     FrameReader reader;  // loop thread only
 
     std::mutex out_mu;
+    // Batches of complete insight frames, one per read drain, oldest first.
+    std::deque<std::vector<std::string>> batches;
     std::string outbound;     // encoded response frames awaiting flush
-    size_t in_flight = 0;     // shard tasks not yet appended
-    bool closed = false;      // loop closed the fd; workers drop output
+    size_t in_flight = 0;     // batches queued or running, not yet appended
+    bool ready = false;       // on the ready queue or held by a worker
+    bool closed = false;      // loop closed the fd; batches dropped
     bool overflow = false;    // outbound cap blown; loop disconnects
     bool read_closed = false; // peer half-closed; close once drained
     bool want_write = false;  // EPOLLOUT armed
   };
 
-  // One batch of complete frames read from a connection in a single drain,
-  // processed in order by the connection's shard.
-  struct Task {
-    std::shared_ptr<Conn> conn;
-    std::vector<std::string> frames;
-  };
-
-  void WorkerLoop(size_t shard);
-  void ProcessTask(Task task);
+  void WorkerLoop();
+  // Runs the connection's oldest batch; requeues the connection when more
+  // batches wait behind it.
+  void ServeConn(const std::shared_ptr<Conn>& conn);
+  void PushReady(std::shared_ptr<Conn> conn);
 
   void HandleListener();
   void HandleConnReadable(const std::shared_ptr<Conn>& conn);
@@ -152,22 +153,18 @@ class EventLoop {
 
   ServeEngine& engine_;
   EventLoopOptions opts_;
-  size_t nshards_ = 1;
+  size_t nworkers_ = 1;
 
   int listener_ = -1;
   int epoll_ = -1;
-  int wake_ = -1;  // eventfd: shard workers -> loop
+  int wake_ = -1;  // eventfd: workers -> loop
   uint64_t next_conn_id_ = 0;
   std::unordered_map<int, std::shared_ptr<Conn>> conns_;  // loop thread only
 
-  // Shard queues. One mutex per shard keeps connections on different shards
-  // fully independent.
-  struct Shard {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<Task> tasks;
-  };
-  std::vector<std::unique_ptr<Shard>> shard_q_;
+  // Ready queue: connections with a batch waiting, each at most once.
+  std::mutex ready_mu_;
+  std::condition_variable ready_cv_;
+  std::deque<std::shared_ptr<Conn>> ready_;
   std::vector<std::thread> workers_;
   std::atomic<bool> workers_stop_{false};
 

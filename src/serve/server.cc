@@ -480,6 +480,8 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
   // the cache are fulfilled immediately and excluded from inference.
   struct Slot {
     Pending* pending = nullptr;
+    const ElementInfo* info = nullptr;  // by-name miss: built when lowered
+    Program program;                    // parsed inline source, or built from info
     std::unique_ptr<NfInstance> lowered;
     NfPrediction prediction;
     uint64_t program_hash = 0;
@@ -506,8 +508,6 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
     }
     Slot slot;
     slot.pending = &p;
-    Program program;
-    const ElementInfo* info = nullptr;  // by-name: its program is built on a miss only
     StageSpan parse_span{"serve.parse", Clock::now(), {}};
     if (!p.req.source.empty()) {
       ParseResult parsed = ParseProgram(p.req.source);
@@ -524,18 +524,18 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
         Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kCheckFailed, msg));
         continue;
       }
-      program = std::move(parsed.program);
-      slot.program_hash = ProgramFingerprint(program);
+      slot.program = std::move(parsed.program);
+      slot.program_hash = ProgramFingerprint(slot.program);
     } else {
       const auto& registry = ElementRegistry();
       for (size_t i = 0; i < registry.size(); ++i) {
         if (registry[i].name == p.req.element) {
-          info = &registry[i];
+          slot.info = &registry[i];
           slot.program_hash = element_fingerprints_[i];
           break;
         }
       }
-      if (info == nullptr) {
+      if (slot.info == nullptr) {
         Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kUnknownElement,
                                  "element '" + p.req.element + "' not in registry"));
         continue;
@@ -580,20 +580,26 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
       Fulfill(p, SheddedResponse(p.req.id, "brownout: cache miss shed (priority 0)"));
       continue;
     }
-
-    if (info != nullptr) {
-      program = info->make();
-    }
-    // Lowered once: inference reads this module and Analyze profiles this
-    // instance.
-    slot.lowered = std::make_unique<NfInstance>(std::move(program));
-    if (!slot.lowered->ok()) {
-      Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kCheckFailed,
-                               "lowering failed: " + slot.lowered->error()));
-      continue;
-    }
     live.push_back(std::move(slot));
   }
+
+  // Misses are independent from here on, so each runs on its own pool
+  // worker. Lowered once: inference reads this module and Analyze profiles
+  // this instance.
+  ParallelForGrain(live.size(), 1, [&](size_t i) {
+    Slot& slot = live[i];
+    if (slot.info != nullptr) {
+      slot.program = slot.info->make();
+    }
+    slot.lowered = std::make_unique<NfInstance>(std::move(slot.program));
+    if (!slot.lowered->ok()) {
+      Pending& p = *slot.pending;
+      Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kCheckFailed,
+                               "lowering failed: " + slot.lowered->error()));
+      slot.pending = nullptr;
+    }
+  });
+  std::erase_if(live, [](const Slot& slot) { return slot.pending == nullptr; });
   if (live.empty()) {
     return;
   }
@@ -634,8 +640,11 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
         .Observe(static_cast<double>(pairs.size()));
   }
 
-  // Full analysis per live slot with the precomputed predictions.
-  for (auto& slot : live) {
+  // Full analysis per live slot with the precomputed predictions, one slot
+  // per pool worker: Fulfill, the cache, the SLO window, the flight recorder
+  // and the trace sink are all safe to call concurrently.
+  ParallelForGrain(live.size(), 1, [&](size_t i) {
+    Slot& slot = live[i];
     Pending& p = *slot.pending;
     StageSpan analyze_span{"serve.analyze", Clock::now(), {}};
     OffloadingInsights insights =
@@ -660,7 +669,7 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
     encode_span.end = Clock::now();
     p.spans.push_back(encode_span);
     Fulfill(p, std::move(resp));
-  }
+  });
 }
 
 std::string ServeEngine::CacheGet(uint64_t program_hash, uint64_t workload_hash) {

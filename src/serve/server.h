@@ -9,10 +9,14 @@
 //   * Per-request deadlines: a request that expires while queued is answered
 //     with kDeadlineExceeded without being dispatched; one that finishes late
 //     still succeeds but bumps the serve.deadline.overruns counter.
-//   * Micro-batching: the dispatcher drains up to max_batch requests and
+//   * Micro-batching: the dispatcher drains up to max_batch requests,
+//     resolves them and probes the cache, lowers the misses in parallel,
 //     runs per-block LSTM inference for the whole batch as one flattened
-//     (request, block) parallel map over the shared thread pool, then feeds
-//     the assembled per-request predictions into ClaraAnalyzer::Analyze.
+//     (request, block) parallel map over the shared thread pool, then
+//     analyses the misses in parallel, one per pool worker: Analyze with the
+//     assembled prediction, encode, cache put and fulfil. The dispatcher
+//     itself stays single, so brownout and the backend switch change only
+//     between batches.
 //   * LRU result cache keyed by (program content hash, workload hash); a hit
 //     replays the cached encoded response body byte-for-byte (only the
 //     echoed request id differs), skipping analysis entirely.
@@ -224,7 +228,8 @@ class ServeEngine {
   void ProcessBatch(std::vector<Pending> batch);
   // Fulfills one pending slot: records latency/error/overrun metrics, the
   // SLO window sample and the flight record, attaches the latency breakdown
-  // to the response, and emits the request's trace spans.
+  // to the response, and emits the request's trace spans. Safe to call from
+  // several pool workers at once for distinct slots.
   void Fulfill(Pending& p, InsightResponse resp);
 
   // Pins the current model snapshot.

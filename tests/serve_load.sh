@@ -62,7 +62,7 @@ echo "== start sequential (reference) and epoll daemons =="
   --transport=sequential --profile-packets=200 2> "$WORK/seq.log" &
 pids+=($!)
 "$SERVE" --socket="$WORK/epoll.sock" --model-dir="$WORK/models" \
-  --shards=2 --profile-packets=200 --slo-p99-us="$SLO_P99_US" \
+  --profile-packets=200 --slo-p99-us="$SLO_P99_US" \
   2> "$WORK/epoll.log" &
 pids+=($!)
 wait_for_socket "$WORK/seq.sock"

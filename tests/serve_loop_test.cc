@@ -5,8 +5,9 @@
 //
 // Runs as one ctest entry (clara_test_whole): the trained bundle fixture is
 // shared across every test in the binary, and the Loop.* tests also run
-// under the ThreadSanitizer target (tsan_check) — the loop thread, shard
-// workers, engine dispatcher and client threads all interleave here.
+// under the ThreadSanitizer target (tsan_check) — the loop thread, loop
+// workers, engine dispatcher, pool workers and client threads all
+// interleave here.
 #include <gtest/gtest.h>
 
 #include <errno.h>
@@ -25,10 +26,12 @@
 
 #include "src/core/analyzer.h"
 #include "src/elements/elements.h"
+#include "src/lang/printer.h"
 #include "src/serve/artifact.h"
 #include "src/serve/eventloop.h"
 #include "src/serve/proto.h"
 #include "src/serve/server.h"
+#include "src/util/parallel.h"
 #include "src/workload/workload.h"
 
 namespace clara {
@@ -83,12 +86,6 @@ serve::ServeOptions FastServeOptions() {
 }
 
 const char* kElements[] = {"aggcounter", "heavyhitter", "udpcount", "iplookup"};
-
-serve::EventLoopOptions LoopOpts(size_t shards) {
-  serve::EventLoopOptions lopts;
-  lopts.shards = shards;
-  return lopts;
-}
 
 serve::InsightRequest ElementRequest(uint64_t id, const std::string& element) {
   serve::InsightRequest req;
@@ -217,7 +214,7 @@ bool ReadResponses(int fd, size_t expect, std::vector<serve::InsightResponse>* o
 TEST(Loop, InterleavedPartialFramesAcross64Connections) {
   constexpr size_t kConns = 64;
   constexpr size_t kPerConn = 3;
-  LoopHarness h(LoopOpts(3));
+  LoopHarness h(serve::EventLoopOptions{});
   ASSERT_TRUE(h.StartLoop());
 
   // Reference bodies straight from the engine (also warms the cache).
@@ -281,12 +278,77 @@ TEST(Loop, InterleavedPartialFramesAcross64Connections) {
   EXPECT_GE(h.loop().accepted(), kConns);
 }
 
+// More connections than loop workers, each pipelining several frames in
+// separate writes without waiting for answers: no connection is pinned to a
+// worker, yet every connection gets all of its responses in request order.
+TEST(Loop, PipelinedConnectionsBeyondWorkerCountAnswerInOrder) {
+  LoopHarness h(serve::EventLoopOptions{});
+  ASSERT_TRUE(h.StartLoop());
+  const size_t conns = h.loop().workers() * 2 + 3;
+  constexpr size_t kPerConn = 6;
+  // Reference bodies come from a separate engine, so the loop's engine sees
+  // each kind first as a cache miss and answers on one connection finish at
+  // different speeds.
+  std::vector<serve::InsightRequest> kinds;
+  for (const char* e : kElements) {
+    kinds.push_back(ElementRequest(0, e));
+  }
+  serve::InsightRequest large = ElementRequest(0, "heavyhitter");
+  large.workload = WorkloadSpec::LargeFlows();
+  kinds.push_back(large);
+  serve::InsightRequest inline_req = ElementRequest(0, "");
+  inline_req.source = ToSource(MakeElementByName("aggcounter"));
+  kinds.push_back(inline_req);
+  serve::ServeEngine reference(FreshBundle(), FastServeOptions());
+  std::vector<std::string> want;
+  for (const auto& k : kinds) {
+    serve::InsightResponse resp = reference.Handle(k);
+    ASSERT_EQ(resp.error, serve::ErrorCode::kOk);
+    want.push_back(serve::EncodeResponseBody(resp));
+  }
+
+  std::vector<int> fds(conns, -1);
+  for (size_t c = 0; c < conns; ++c) {
+    fds[c] = h.Connect();
+    ASSERT_GE(fds[c], 0) << "connection " << c;
+  }
+  std::vector<std::vector<serve::InsightResponse>> got(conns);
+  std::vector<char> read_ok(conns, 0);
+  std::vector<std::thread> readers;
+  for (size_t c = 0; c < conns; ++c) {
+    readers.emplace_back([&, c] { read_ok[c] = ReadResponses(fds[c], kPerConn, &got[c]); });
+  }
+  for (size_t k = 0; k < kPerConn; ++k) {
+    for (size_t c = 0; c < conns; ++c) {
+      serve::InsightRequest req = kinds[(c + k) % kinds.size()];
+      req.id = (static_cast<uint64_t>(c + 1) << 16) | k;
+      std::string frame;
+      serve::AppendFrame(&frame, serve::EncodeRequest(req));
+      ASSERT_TRUE(WriteAllFd(fds[c], frame));
+    }
+    ::usleep(2 * 1000);  // separate writes arrive as separate read drains
+  }
+  for (auto& t : readers) {
+    t.join();
+  }
+  for (size_t c = 0; c < conns; ++c) {
+    ASSERT_TRUE(read_ok[c]) << "connection " << c;
+    ASSERT_EQ(got[c].size(), kPerConn);
+    for (size_t k = 0; k < kPerConn; ++k) {
+      EXPECT_EQ(got[c][k].error, serve::ErrorCode::kOk);
+      EXPECT_EQ(got[c][k].id, (static_cast<uint64_t>(c + 1) << 16) | k)
+          << "connection " << c << " answered out of order";
+      EXPECT_EQ(serve::EncodeResponseBody(got[c][k]), want[(c + k) % kinds.size()]);
+    }
+    ::close(fds[c]);
+  }
+}
+
 // A client that sends requests but never reads responses must be
 // disconnected once its outbound buffer blows the cap — not allowed to grow
 // the daemon's memory without bound.
 TEST(Loop, SlowReaderIsDisconnected) {
   serve::EventLoopOptions lopts;
-  lopts.shards = 2;
   lopts.max_outbound_bytes = 2048;  // tiny: a handful of responses
   LoopHarness h(lopts);
   ASSERT_TRUE(h.StartLoop());
@@ -340,7 +402,7 @@ TEST(Loop, SlowReaderIsDisconnected) {
 // Control frames are answered inline by the loop thread, and the stats
 // envelope carries the transport object while the engine keeps serving.
 TEST(Loop, ControlFramesAnsweredInlineWithTransportStats) {
-  LoopHarness h(LoopOpts(2));
+  LoopHarness h(serve::EventLoopOptions{});
   ASSERT_TRUE(h.StartLoop());
   h.engine().SetTransportStatsProvider([&h] { return h.loop().StatsJson(); });
 
@@ -370,7 +432,8 @@ TEST(Loop, ControlFramesAnsweredInlineWithTransportStats) {
   EXPECT_TRUE(cresp.ok);
   EXPECT_NE(cresp.json.find("\"transport\":{"), std::string::npos);
   EXPECT_NE(cresp.json.find("\"mode\":\"epoll\""), std::string::npos);
-  EXPECT_NE(cresp.json.find("\"shards\":2"), std::string::npos);
+  EXPECT_NE(cresp.json.find("\"workers\":" + std::to_string(NumThreads()) + ","),
+            std::string::npos);
   ::close(fd);
   h.engine().SetTransportStatsProvider(nullptr);
 }
@@ -378,7 +441,7 @@ TEST(Loop, ControlFramesAnsweredInlineWithTransportStats) {
 // An oversized frame answers with a structured kOversized error and the
 // connection keeps working for well-formed frames after it.
 TEST(Loop, OversizedFrameAnsweredAndConnectionSurvives) {
-  LoopHarness h(LoopOpts(1));
+  LoopHarness h(serve::EventLoopOptions{});
   ASSERT_TRUE(h.StartLoop());
   int fd = h.Connect();
   ASSERT_GE(fd, 0);
@@ -407,7 +470,7 @@ TEST(Loop, OversizedFrameAnsweredAndConnectionSurvives) {
 TEST(Loop, ConnectionChurnDuringHotReload) {
   constexpr size_t kClients = 8;
   constexpr int kRounds = 12;
-  LoopHarness h(LoopOpts(3));
+  LoopHarness h(serve::EventLoopOptions{});
   ASSERT_TRUE(h.StartLoop());
 
   std::vector<std::string> want;

@@ -24,6 +24,7 @@
 #include "src/ml/knn.h"
 #include "src/ml/linear.h"
 #include "src/ml/tree.h"
+#include "src/obs/obs.h"
 #include "src/obs/trace.h"
 #include "src/serve/artifact.h"
 #include "src/serve/brownout.h"
@@ -31,6 +32,7 @@
 #include "src/serve/retry.h"
 #include "src/serve/server.h"
 #include "src/util/binio.h"
+#include "src/util/parallel.h"
 #include "src/util/rng.h"
 #include "src/workload/workload.h"
 
@@ -626,6 +628,110 @@ TEST(Engine, ConcurrentRequestsAreAnswered) {
     EXPECT_EQ(resp.id, i + 1);
   }
   engine.Stop();
+}
+
+// The body the engine must produce for `program`: in-process Analyze, then
+// the same response fields the engine encodes.
+std::string AnalyzeBody(const ClaraAnalyzer& analyzer, Program program,
+                        const WorkloadSpec& workload, const NicConfig& nic) {
+  OffloadingInsights insights = analyzer.Analyze(std::move(program), workload);
+  serve::InsightResponse resp;
+  resp.nf_name = insights.nf_name;
+  resp.accelerator = AccelClassName(insights.accelerator);
+  resp.suggested_cores = insights.suggested_cores;
+  resp.total_compute = insights.prediction.total_compute;
+  resp.total_mem_state = insights.prediction.total_mem_state;
+  resp.naive_mpps = insights.naive_perf.throughput_mpps;
+  resp.naive_us = insights.naive_perf.latency_us;
+  resp.tuned_mpps = insights.tuned_perf.throughput_mpps;
+  resp.tuned_us = insights.tuned_perf.latency_us;
+  resp.rendered = insights.ToString(nic);
+  return serve::EncodeResponseBody(resp);
+}
+
+// One batch of distinct cache misses, by-name and inline, small and large
+// flows: the engine analyses them in parallel, and every answer must still
+// equal a serial in-process Analyze at one thread and at four, with each
+// request counted exactly once.
+TEST(Engine, BatchOfMissesMatchesInProcessAnalyzeAtAnyThreadCount) {
+  struct Case {
+    const char* element;
+    bool inline_source;
+    WorkloadSpec workload;
+  };
+  const std::vector<Case> cases = {
+      {"aggcounter", false, WorkloadSpec::SmallFlows()},
+      {"mazunat", false, WorkloadSpec::SmallFlows()},
+      {"udpcount", false, WorkloadSpec::LargeFlows()},
+      {"heavyhitter", false, WorkloadSpec::LargeFlows()},
+      {"mazunat", true, WorkloadSpec::LargeFlows()},
+      {"aggcounter", true, WorkloadSpec::LargeFlows()},
+      {"iplookup", true, WorkloadSpec::SmallFlows()},
+  };
+  serve::ServeOptions opts = FastServeOptions();
+  ASSERT_GE(opts.max_batch, cases.size());
+  AnalyzerOptions aopts;
+  aopts.nic = opts.nic;
+  aopts.profile_packets = opts.profile_packets;
+  ClaraAnalyzer reference(aopts, ReloadedBundle());
+  std::vector<serve::InsightRequest> reqs;
+  std::vector<std::string> want;
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    serve::InsightRequest req;
+    req.id = i + 1;
+    req.workload = c.workload;
+    Program program = MakeElementByName(c.element);
+    if (c.inline_source) {
+      req.source = ToSource(program);
+      ParseResult parsed = ParseProgram(req.source);
+      ASSERT_TRUE(parsed.ok) << c.element << ": " << parsed.error;
+      program = std::move(parsed.program);
+    } else {
+      req.element = c.element;
+    }
+    want.push_back(AnalyzeBody(reference, std::move(program), c.workload, opts.nic));
+    reqs.push_back(std::move(req));
+  }
+
+  const int saved_threads = NumThreads();
+  for (int threads : {1, 4}) {
+    SetNumThreads(threads);
+    // Traced and instrumented, so spans and metrics arrive from every pool
+    // worker at once.
+    obs::TraceSink sink;
+    obs::EnabledScope instrumented;
+    obs::SetGlobalTrace(&sink);
+    serve::ServeEngine engine(ReloadedBundle(), opts);
+    // Queued before Start(): the dispatcher drains them as one batch.
+    std::vector<std::future<serve::InsightResponse>> futures;
+    for (const auto& req : reqs) {
+      futures.push_back(engine.Submit(serve::InsightRequest(req)));
+    }
+    engine.Start();
+    for (size_t i = 0; i < futures.size(); ++i) {
+      serve::InsightResponse resp = futures[i].get();
+      ASSERT_EQ(resp.error, serve::ErrorCode::kOk) << resp.error_message;
+      EXPECT_EQ(resp.id, i + 1);
+      EXPECT_EQ(serve::EncodeResponseBody(resp), want[i])
+          << cases[i].element << (cases[i].inline_source ? " (inline)" : "")
+          << " at " << threads << " thread(s)";
+    }
+    engine.Stop();
+    obs::SetGlobalTrace(nullptr);
+    size_t roots = 0;
+    for (const obs::TraceEvent& e : sink.Events()) {
+      roots += e.name == "serve.request" ? 1 : 0;
+    }
+    EXPECT_EQ(roots, cases.size());
+    std::string health = engine.HealthJson();
+    std::string n = std::to_string(cases.size());
+    EXPECT_NE(health.find("\"requests\":" + n + ","), std::string::npos) << health;
+    EXPECT_NE(health.find("\"hits\":0,\"misses\":" + n + ","), std::string::npos)
+        << health;
+    EXPECT_EQ(engine.cache_entries(), cases.size());
+  }
+  SetNumThreads(saved_threads);
 }
 
 TEST(Engine, AdmissionControlRejectsWhenQueueIsFull) {

@@ -2,6 +2,9 @@
 // the lowered IR probe loops).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/lang/interp.h"
 #include "src/util/rng.h"
 
@@ -160,6 +163,81 @@ TEST(SimMap, ClearEmptiesEverything) {
   for (uint64_t k = 1; k < 20; ++k) {
     EXPECT_FALSE(m.Find(K{k}, nullptr).found);
   }
+}
+
+TEST(SimMap, UntouchedSlotsOfLargeMapReadZero) {
+  // A 32k-slot table (mazunat's size) stores rows only for written slots;
+  // every other slot reads as an empty, all-zero row.
+  SimMap m(HostMapDecl(32768));
+  ASSERT_EQ(m.slot_count(), 32768u);
+  std::vector<uint64_t> written;
+  for (uint64_t k = 1; k <= 40; ++k) {
+    auto r = m.Insert(K{k * 104729}, K{k + 1000});
+    ASSERT_TRUE(r.found);
+    written.push_back(r.index);
+  }
+  for (size_t s = 0; s < m.slot_count(); ++s) {
+    auto it = std::find(written.begin(), written.end(), s);
+    if (it == written.end()) {
+      ASSERT_EQ(m.KeyAt(s, 0), 0u) << "slot " << s;
+      ASSERT_EQ(m.ValueAt(s, 0), 0u) << "slot " << s;
+    } else {
+      uint64_t k = static_cast<uint64_t>(it - written.begin()) + 1;
+      EXPECT_EQ(m.KeyAt(s, 0), k * 104729);
+      EXPECT_EQ(m.ValueAt(s, 0), k + 1000);
+    }
+  }
+}
+
+TEST(SimMap, EraseZeroesOnlyKeyZeroOfTheRow) {
+  StateDecl d = NicMapDecl();
+  d.key_fields = {Type::kI32, Type::kI16};
+  SimMap m(d);
+  auto ri = m.Insert(K{100, 7}, K{9});
+  ASSERT_TRUE(ri.found);
+  auto re = m.Erase(K{100, 7});
+  ASSERT_TRUE(re.found);
+  EXPECT_EQ(re.index, ri.index);
+  EXPECT_EQ(m.KeyAt(re.index, 0), 0u);
+  EXPECT_EQ(m.KeyAt(re.index, 1), 7u);
+  EXPECT_EQ(m.ValueAt(re.index, 0), 9u);
+}
+
+TEST(SimMap, ClearDropsEveryRow) {
+  SimMap m(HostMapDecl(64));
+  std::vector<uint64_t> slots;
+  for (uint64_t k = 1; k < 20; ++k) {
+    slots.push_back(m.Insert(K{k}, K{k}).index);
+  }
+  m.Clear();
+  EXPECT_EQ(m.entries(), 0u);
+  for (uint64_t s : slots) {
+    EXPECT_EQ(m.KeyAt(s, 0), 0u);
+    EXPECT_EQ(m.ValueAt(s, 0), 0u);
+  }
+  // The cleared map fills again from scratch.
+  EXPECT_TRUE(m.Insert(K{3}, K{30}).stopped_empty);
+  EXPECT_EQ(m.entries(), 1u);
+}
+
+TEST(SimMap, FullNicBucketExhaustsWithFullProbeCount) {
+  // One bucket of 4 slots: the fifth distinct key scans the whole bucket,
+  // continuing past every slot, and fails.
+  SimMap m(NicMapDecl(4, 4));
+  for (uint64_t k = 1; k <= 4; ++k) {
+    ASSERT_TRUE(m.Insert(K{k}, K{k}).found);
+  }
+  auto r = m.Insert(K{5}, K{5});
+  EXPECT_FALSE(r.found);
+  EXPECT_TRUE(r.exhausted);
+  EXPECT_FALSE(r.stopped_empty);
+  EXPECT_EQ(r.probes, 4u);
+  EXPECT_EQ(r.continues, 4u);
+  EXPECT_EQ(m.entries(), 4u);
+  auto f = m.Find(K{5}, nullptr);
+  EXPECT_TRUE(f.exhausted);
+  EXPECT_EQ(f.probes, 4u);
+  EXPECT_EQ(f.continues, 4u);
 }
 
 }  // namespace

@@ -9,9 +9,10 @@
 //                   stdout (the default; composes with clara_client --emit)
 //   --socket=PATH   listen on a Unix domain socket. The default transport is
 //                   an epoll event loop (src/serve/eventloop.h) serving many
-//                   clients concurrently: per-connection frame reassembly, a
-//                   sharded worker pool feeding the engine queue
-//                   (--shards=N), and bounded per-connection write buffers
+//                   clients concurrently: per-connection frame reassembly,
+//                   one ready queue of connections served by one worker per
+//                   thread (CLARA_THREADS, default all cores) feeding the
+//                   engine queue, and bounded per-connection write buffers
 //                   (--max-outbound-bytes) that disconnect slow readers.
 //                   --transport=sequential keeps the legacy one-connection-
 //                   at-a-time loop for byte-identity comparisons. Either
@@ -23,8 +24,8 @@
 //
 // All requests buffered at once are micro-batched through the serving
 // engine, so N concurrent insight requests share one parallel per-block
-// inference pass (connections on different shards batch together through
-// the shared Submit() funnel). Malformed payloads and oversized frames get
+// inference pass and their analyses run in parallel (requests from
+// different connections batch together through the shared Submit() funnel). Malformed payloads and oversized frames get
 // structured error responses; SIGINT/SIGTERM shut the daemon down cleanly.
 //
 // Self-healing plane:
@@ -280,8 +281,8 @@ int ServeEpoll(serve::ServeEngine& engine, const std::string& bundle_path,
     return 1;
   }
   engine.SetTransportStatsProvider([&loop] { return loop.StatsJson(); });
-  std::fprintf(stderr, "clara_serve: listening on %s (epoll, %zu shard(s))\n",
-               path.c_str(), loop.shards());
+  std::fprintf(stderr, "clara_serve: listening on %s (epoll, %zu worker(s))\n",
+               path.c_str(), loop.workers());
   int rc = loop.Run(&g_stop, [&engine, &bundle_path] {
     MaybeDumpFlight(engine);
     MaybeReload(engine, bundle_path);
@@ -293,7 +294,7 @@ int ServeEpoll(serve::ServeEngine& engine, const std::string& bundle_path,
 int Usage() {
   std::fprintf(stderr,
                "usage: clara_serve --model-dir=DIR [--pipe | --socket=PATH]\n"
-               "                   [--transport=epoll|sequential] [--shards=N]\n"
+               "                   [--transport=epoll|sequential]\n"
                "                   [--max-outbound-bytes=N] [--max-conns=N]\n"
                "                   [--queue=N] [--batch=N] [--cache=N]\n"
                "                   [--profile-packets=N]\n"
@@ -342,8 +343,6 @@ int main(int argc, char** argv) {
                      transport.c_str());
         return Usage();
       }
-    } else if (a.rfind("--shards=", 0) == 0) {
-      loop_opts.shards = std::strtoul(a.c_str() + std::strlen("--shards="), nullptr, 10);
     } else if (a.rfind("--max-outbound-bytes=", 0) == 0) {
       loop_opts.max_outbound_bytes =
           std::strtoul(a.c_str() + std::strlen("--max-outbound-bytes="), nullptr, 10);
