@@ -4,6 +4,7 @@
 
 #include "src/lang/interp.h"
 #include "src/nic/backend.h"
+#include "src/nic/demand.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
 #include "src/obs/trace.h"
@@ -126,27 +127,38 @@ void ClaraAnalyzer::Train(const std::vector<const Program*>& click_corpus) {
 }
 
 OffloadingInsights ClaraAnalyzer::Analyze(Program program, const WorkloadSpec& workload) const {
-  return Analyze(std::move(program), workload, nullptr);
-}
-
-OffloadingInsights ClaraAnalyzer::Analyze(Program program, const WorkloadSpec& workload,
-                                          const NfPrediction* precomputed) const {
   obs::StageTimer analyze_timer("core.analyzer.analyze", "core.analyzer.stage_ms.analyze");
   NfInstance nf = [&] {
     obs::StageTimer t("core.analyzer.lower", "core.analyzer.stage_ms.lower");
     return NfInstance(std::move(program));
   }();
-  return AnalyzeLowered(nf, workload, precomputed);
+  if (!nf.ok()) {
+    OffloadingInsights out;
+    out.nf_name = nf.program().name;
+    return out;
+  }
+  return Analyze(nf, workload, AnalyzeProgram(nf.module()));
+}
+
+ProgramFacts ClaraAnalyzer::AnalyzeProgram(const Module& m) const {
+  ProgramFacts facts;
+  {
+    obs::StageTimer t("core.analyzer.predict", "core.analyzer.stage_ms.predict");
+    facts.prediction = predictor_.PredictNf(m);
+  }
+  {
+    obs::StageTimer t("core.analyzer.classify", "core.analyzer.stage_ms.classify");
+    facts.accelerator = algo_id_.Classify(m);
+  }
+  {
+    obs::StageTimer t("core.analyzer.compile", "core.analyzer.stage_ms.compile");
+    facts.nic = DemandCosts(CompileToNic(m, opts_.predictor.backend));
+  }
+  return facts;
 }
 
 OffloadingInsights ClaraAnalyzer::Analyze(NfInstance& nf, const WorkloadSpec& workload,
-                                          const NfPrediction* precomputed) const {
-  obs::StageTimer analyze_timer("core.analyzer.analyze", "core.analyzer.stage_ms.analyze");
-  return AnalyzeLowered(nf, workload, precomputed);
-}
-
-OffloadingInsights ClaraAnalyzer::AnalyzeLowered(NfInstance& nf, const WorkloadSpec& workload,
-                                                 const NfPrediction* precomputed) const {
+                                          const ProgramFacts& facts) const {
   OffloadingInsights out;
   out.nf_name = nf.program().name;
   if (!nf.ok()) {
@@ -162,23 +174,13 @@ OffloadingInsights ClaraAnalyzer::AnalyzeLowered(NfInstance& nf, const WorkloadS
     }
   }
   const Module& m = nf.module();
+  const NicProgram& nic = facts.nic;
+  out.prediction = facts.prediction;
+  out.accelerator = facts.accelerator;
 
-  if (precomputed != nullptr) {
-    out.prediction = *precomputed;
-  } else {
-    obs::StageTimer t("core.analyzer.predict", "core.analyzer.stage_ms.predict");
-    out.prediction = predictor_.PredictNf(m);
-  }
-  {
-    obs::StageTimer t("core.analyzer.classify", "core.analyzer.stage_ms.classify");
-    out.accelerator = algo_id_.Classify(m);
-  }
-
-  NicProgram nic;
   NfDemand naive;
   {
     obs::StageTimer t("core.analyzer.demand", "core.analyzer.stage_ms.demand");
-    nic = CompileToNic(m, opts_.predictor.backend);
     naive = BuildDemand(m, nic, nf.profile(), workload, opts_.nic);
   }
 

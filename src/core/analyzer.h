@@ -1,6 +1,13 @@
 // The Clara facade: one object that owns all trained components and turns an
 // unported NF program + workload into a full set of offloading insights
 // (paper Figure 2c).
+//
+// Analysis has two parts. The program part (AnalyzeProgram) reads only the
+// NF's code: LSTM instruction prediction (§3), algorithm identification
+// (§4.1) and the NIC backend's per-block costs. The workload part profiles
+// the NF on a workload and runs demand, scale-out, placement, coalescing and
+// the perf model (§4.2-4.4) on top of those facts. The serving engine keeps
+// the program part per program and runs only the workload part per request.
 #ifndef SRC_CORE_ANALYZER_H_
 #define SRC_CORE_ANALYZER_H_
 
@@ -14,6 +21,7 @@
 #include "src/core/placement.h"
 #include "src/core/predictor.h"
 #include "src/core/scaleout.h"
+#include "src/nic/isa.h"
 #include "src/nic/perf_model.h"
 
 namespace clara {
@@ -71,6 +79,15 @@ struct TrainedBundle {
   bool LoadFrom(BinReader& r);
 };
 
+// What analysis derives from an NF's code alone, independent of any
+// workload. `nic` is CompileToNic's output reduced to per-block costs
+// (DemandCosts): BuildDemand reads nothing else.
+struct ProgramFacts {
+  NfPrediction prediction;
+  AccelClass accelerator = AccelClass::kNone;
+  NicProgram nic;
+};
+
 class ClaraAnalyzer {
  public:
   explicit ClaraAnalyzer(AnalyzerOptions opts = AnalyzerOptions{});
@@ -88,26 +105,25 @@ class ClaraAnalyzer {
   // Copies the trained components out for persistence.
   TrainedBundle ExportTrained() const;
 
-  // Full analysis of an unported NF under a workload. Takes the program by
-  // value (analysis owns and annotates it).
+  // Full analysis of an unported NF under a workload: lower, AnalyzeProgram,
+  // then the workload part. Takes the program by value (analysis owns and
+  // annotates it).
   OffloadingInsights Analyze(Program program, const WorkloadSpec& workload) const;
 
-  // Analyze with an externally computed instruction prediction (the serving
-  // engine micro-batches per-block LSTM inference across requests and feeds
-  // the assembled predictions here). `precomputed` must match the lowered
-  // module of `program`; passing nullptr falls back to inline prediction.
-  OffloadingInsights Analyze(Program program, const WorkloadSpec& workload,
-                             const NfPrediction* precomputed) const;
+  // The program part: prediction, accelerator class and NIC block costs of a
+  // lowered module. Uses the current inference backend.
+  ProgramFacts AnalyzeProgram(const Module& m) const;
 
-  // Analyze an already lowered NF (the serving engine lowers once for both
-  // inference and analysis). `nf` must be freshly built: profiling runs the
-  // workload through it.
+  // The workload part on an already lowered NF. `facts` must be
+  // AnalyzeProgram of `nf.module()` (or of a module lowered from the same
+  // program); `nf` must be freshly built, since profiling runs the workload
+  // through it.
   OffloadingInsights Analyze(NfInstance& nf, const WorkloadSpec& workload,
-                             const NfPrediction* precomputed) const;
+                             const ProgramFacts& facts) const;
 
-  // Selects the LSTM inference backend for all subsequent Analyze calls
-  // (src/ml/infer.h); the serve engine applies ServeOptions.infer_backend
-  // through this.
+  // Selects the LSTM inference backend for all subsequent AnalyzeProgram
+  // calls (src/ml/infer.h); the serve engine applies
+  // ServeOptions.infer_backend through this.
   void SetInferBackend(InferBackend backend) { predictor_.SetInferBackend(backend); }
   InferBackend infer_backend() const { return predictor_.infer_backend(); }
 
@@ -119,10 +135,6 @@ class ClaraAnalyzer {
   const SynthProfile& synth_profile() const { return synth_profile_; }
 
  private:
-  // The stages after lowering, shared by the Analyze overloads.
-  OffloadingInsights AnalyzeLowered(NfInstance& nf, const WorkloadSpec& workload,
-                                    const NfPrediction* precomputed) const;
-
   AnalyzerOptions opts_;
   PerfModel perf_model_;
   SynthProfile synth_profile_;

@@ -104,4 +104,12 @@ NfDemand BuildDemand(const Module& m, const NicProgram& prog, const NfProfile& p
   return d;
 }
 
+NicProgram DemandCosts(NicProgram prog) {
+  for (NicBlock& b : prog.blocks) {
+    std::vector<NicInstr>().swap(b.instrs);
+    std::vector<NicMove>().swap(b.moves);
+  }
+  return prog;
+}
+
 }  // namespace clara

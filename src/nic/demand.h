@@ -40,6 +40,11 @@ NfDemand BuildDemand(const Module& m, const NicProgram& prog, const NfProfile& p
                      const WorkloadSpec& workload, const NicConfig& cfg,
                      const DemandOptions& opts = DemandOptions{});
 
+// `prog` reduced to what BuildDemand reads: each block keeps its counts and
+// issue_cycles, and its instrs/moves are released. BuildDemand on the result
+// equals BuildDemand on `prog`.
+NicProgram DemandCosts(NicProgram prog);
+
 // Per-packet average words touched per access for a state variable.
 double WordsPerAccess(const StateVar& sv);
 

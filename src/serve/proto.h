@@ -107,8 +107,8 @@ struct LatencyBreakdown {
   bool cache_hit = false;
   uint32_t queue_us = 0;    // submit -> batch drain
   uint32_t parse_us = 0;    // program resolution (parse/check or registry)
-  uint32_t infer_us = 0;    // this request's share of batched LSTM inference
-  uint32_t analyze_us = 0;  // full insight analysis
+  uint32_t infer_us = 0;    // computing program facts (0 on a program-memo hit)
+  uint32_t analyze_us = 0;  // workload part of the analysis (profile onwards)
   uint32_t encode_us = 0;   // response-body encoding + cache store
   uint32_t total_us = 0;    // submit -> fulfill
 };

@@ -27,10 +27,6 @@ namespace clara {
 namespace serve {
 namespace {
 
-uint64_t MixKey(uint64_t program_hash, uint64_t workload_hash) {
-  return program_hash ^ (workload_hash * 0x9E3779B97F4A7C15ULL);
-}
-
 uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
@@ -137,13 +133,14 @@ BrownoutPolicy::Options BrownoutOptionsFrom(const ServeOptions& opts) {
 ServeEngine::ServeEngine(TrainedBundle bundle, ServeOptions opts)
     : opts_(opts),
       model_(std::make_shared<ModelSnapshot>(MakeAnalyzerOptions(opts), std::move(bundle),
-                                             /*ver=*/1)),
+                                             /*ver=*/1, opts.cache_capacity)),
       effective_backend_(opts.infer_backend),
       brownout_(BrownoutOptionsFrom(opts)),
       slo_(SloOptionsFrom(opts)),
-      flight_(opts.flight_capacity) {
+      flight_(opts.flight_capacity),
+      cache_(opts.cache_capacity) {
   // Builds the packed f32/int8 engine once, before the first request; every
-  // ProcessBatch prediction then runs through the selected backend.
+  // program-facts computation then runs through the selected backend.
   model_->analyzer.SetInferBackend(opts_.infer_backend);
   for (const ElementInfo& e : ElementRegistry()) {
     element_fingerprints_.push_back(ProgramFingerprint(e.make()));
@@ -477,13 +474,11 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
   }
 
   // Per-slot resolution: program + cache lookup. Slots that error out or hit
-  // the cache are fulfilled immediately and excluded from inference.
+  // the cache are fulfilled immediately and excluded from analysis.
   struct Slot {
     Pending* pending = nullptr;
     const ElementInfo* info = nullptr;  // by-name miss: built when lowered
     Program program;                    // parsed inline source, or built from info
-    std::unique_ptr<NfInstance> lowered;
-    NfPrediction prediction;
     uint64_t program_hash = 0;
     uint64_t workload_hash = 0;
   };
@@ -545,8 +540,8 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
     p.spans.push_back(parse_span);
 
     slot.workload_hash = HashWorkload(p.req.workload);
-    std::string cached = CacheGet(slot.program_hash, slot.workload_hash);
-    if (!cached.empty()) {
+    std::string cached;
+    if (cache_.Get(slot.program_hash, slot.workload_hash, &cached)) {
       if (obs::Enabled()) {
         static obs::Counter& hits = obs::MetricsRegistry::Global().GetCounter("serve.cache.hits");
         hits.Add(1);
@@ -574,7 +569,7 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
       misses.Add(1);
     }
     // Brownout prefers cache hits: a miss from the lowest priority class is
-    // shed instead of spending inference on it, keeping batch slots for
+    // shed instead of spending analysis on it, keeping batch slots for
     // cached replays and prioritized traffic.
     if (brownout && p.req.priority == 0) {
       Fulfill(p, SheddedResponse(p.req.id, "brownout: cache miss shed (priority 0)"));
@@ -584,71 +579,25 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
   }
 
   // Misses are independent from here on, so each runs on its own pool
-  // worker. Lowered once: inference reads this module and Analyze profiles
-  // this instance.
-  ParallelForGrain(live.size(), 1, [&](size_t i) {
-    Slot& slot = live[i];
-    if (slot.info != nullptr) {
-      slot.program = slot.info->make();
-    }
-    slot.lowered = std::make_unique<NfInstance>(std::move(slot.program));
-    if (!slot.lowered->ok()) {
-      Pending& p = *slot.pending;
-      Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kCheckFailed,
-                               "lowering failed: " + slot.lowered->error()));
-      slot.pending = nullptr;
-    }
-  });
-  std::erase_if(live, [](const Slot& slot) { return slot.pending == nullptr; });
-  if (live.empty()) {
-    return;
-  }
-
-  // Micro-batched inference: one flattened (slot, block) parallel map across
-  // the whole batch, mirroring InstructionPredictor::PredictNf per slot.
-  std::vector<std::pair<size_t, size_t>> pairs;
-  for (size_t s = 0; s < live.size(); ++s) {
-    const Module& m = live[s].lowered->module();
-    size_t blocks = m.functions.at(0).blocks.size();
-    for (size_t b = 0; b < blocks; ++b) {
-      pairs.emplace_back(s, b);
-    }
-  }
-  const InstructionPredictor& predictor = analyzer.predictor();
-  Clock::time_point infer_start = Clock::now();
-  std::vector<BlockPrediction> block_preds = ParallelMap<BlockPrediction>(pairs.size(), [&](size_t i) {
-    const auto& [s, b] = pairs[i];
-    const Module& m = live[s].lowered->module();
-    return predictor.PredictBlock(m, m.functions.at(0).blocks[b]);
-  });
-  Clock::time_point infer_end = Clock::now();
-  // Inference is batch-wide: attribute the shared interval to every live slot
-  // (each request's LSTM work overlapped the whole parallel map).
-  for (auto& slot : live) {
-    slot.pending->spans.push_back(StageSpan{"serve.infer", infer_start, infer_end});
-  }
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    NfPrediction& pred = live[pairs[i].first].prediction;
-    const BlockPrediction& bp = block_preds[i];
-    pred.total_compute += bp.compute;
-    pred.total_mem_state += bp.mem_state;
-    pred.blocks.push_back(bp);
-  }
-  if (obs::Enabled()) {
-    obs::MetricsRegistry::Global()
-        .GetHistogram("serve.batch.blocks", obs::Histogram::ExponentialBuckets(1, 2, 16))
-        .Observe(static_cast<double>(pairs.size()));
-  }
-
-  // Full analysis per live slot with the precomputed predictions, one slot
-  // per pool worker: Fulfill, the cache, the SLO window, the flight recorder
-  // and the trace sink are all safe to call concurrently.
+  // worker: lower, program facts (memoized per program), the workload part
+  // of the analysis, encode, cache put, fulfil. Fulfill, the caches, the SLO
+  // window, the flight recorder and the trace sink are all safe to call
+  // concurrently.
   ParallelForGrain(live.size(), 1, [&](size_t i) {
     Slot& slot = live[i];
     Pending& p = *slot.pending;
+    if (slot.info != nullptr) {
+      slot.program = slot.info->make();
+    }
+    NfInstance nf(std::move(slot.program));
+    if (!nf.ok()) {
+      Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kCheckFailed,
+                               "lowering failed: " + nf.error()));
+      return;
+    }
+    std::shared_ptr<const ProgramFacts> facts = Facts(*model, slot.program_hash, nf, p);
     StageSpan analyze_span{"serve.analyze", Clock::now(), {}};
-    OffloadingInsights insights =
-        analyzer.Analyze(*slot.lowered, p.req.workload, &slot.prediction);
+    OffloadingInsights insights = analyzer.Analyze(nf, p.req.workload, *facts);
     InsightResponse resp;
     resp.id = p.req.id;
     resp.nf_name = insights.nf_name;
@@ -672,61 +621,48 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
   });
 }
 
-std::string ServeEngine::CacheGet(uint64_t program_hash, uint64_t workload_hash) {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  auto it = cache_.find(MixKey(program_hash, workload_hash));
-  if (it == cache_.end() || it->second->key_hi != program_hash ||
-      it->second->key_lo != workload_hash) {
-    return std::string();
+std::shared_ptr<const ProgramFacts> ServeEngine::Facts(ModelSnapshot& model,
+                                                       uint64_t program_hash,
+                                                       const NfInstance& nf, Pending& p) {
+  // The backend only changes between batches (dispatcher-owned), so it is
+  // stable for the whole parallel phase.
+  uint64_t backend = static_cast<uint64_t>(model.analyzer.infer_backend());
+  std::shared_ptr<const ProgramFacts> facts;
+  if (model.program_memo.Get(program_hash, backend, &facts)) {
+    memo_hits_.fetch_add(1, std::memory_order_relaxed);
+    if (obs::Enabled()) {
+      static obs::Counter& hits =
+          obs::MetricsRegistry::Global().GetCounter("serve.program_memo.hits");
+      hits.Add(1);
+    }
+    return facts;
   }
-  lru_.splice(lru_.begin(), lru_, it->second);  // promote to front
-  return it->second->body;
+  memo_misses_.fetch_add(1, std::memory_order_relaxed);
+  if (obs::Enabled()) {
+    static obs::Counter& misses =
+        obs::MetricsRegistry::Global().GetCounter("serve.program_memo.misses");
+    misses.Add(1);
+  }
+  StageSpan infer_span{"serve.infer", Clock::now(), {}};
+  facts = std::make_shared<const ProgramFacts>(model.analyzer.AnalyzeProgram(nf.module()));
+  infer_span.end = Clock::now();
+  p.spans.push_back(infer_span);
+  model.program_memo.Put(program_hash, backend, facts);
+  return facts;
 }
 
 void ServeEngine::CachePut(uint64_t program_hash, uint64_t workload_hash, std::string body,
                            uint64_t version) {
-  if (opts_.cache_capacity == 0) {
-    return;
-  }
   // A batch that started before a reload finishes on the old model; its
   // answers must not repopulate the freshly cleared cache.
   if (version != artifact_version_.load(std::memory_order_acquire)) {
     return;
   }
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  uint64_t key = MixKey(program_hash, workload_hash);
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    it->second->body = std::move(body);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.push_front(CacheEntry{program_hash, workload_hash, std::move(body)});
-  cache_[key] = lru_.begin();
-  while (lru_.size() > opts_.cache_capacity) {
-    const CacheEntry& victim = lru_.back();
-    cache_.erase(MixKey(victim.key_hi, victim.key_lo));
-    lru_.pop_back();
-  }
+  size_t entries = cache_.Put(program_hash, workload_hash, std::move(body));
   if (obs::Enabled()) {
-    obs::MetricsRegistry::Global()
-        .GetGauge("serve.cache.entries")
-        .Set(static_cast<double>(lru_.size()));
+    obs::MetricsRegistry::Global().GetGauge("serve.cache.entries").Set(
+        static_cast<double>(entries));
   }
-}
-
-void ServeEngine::CacheClear() {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  lru_.clear();
-  cache_.clear();
-  if (obs::Enabled()) {
-    obs::MetricsRegistry::Global().GetGauge("serve.cache.entries").Set(0);
-  }
-}
-
-size_t ServeEngine::cache_entries() const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  return lru_.size();
 }
 
 std::shared_ptr<ServeEngine::ModelSnapshot> ServeEngine::Model() const {
@@ -741,7 +677,8 @@ std::shared_ptr<ServeEngine::ModelSnapshot> ServeEngine::ValidateCandidate(
     return nullptr;
   }
   auto cand = std::make_shared<ModelSnapshot>(MakeAnalyzerOptions(opts_),
-                                              std::move(bundle), /*ver=*/0);
+                                              std::move(bundle), /*ver=*/0,
+                                              opts_.cache_capacity);
   cand->analyzer.SetInferBackend(effective_backend_.load(std::memory_order_relaxed));
   // Canary inference: before the candidate may serve traffic it must analyze
   // a known registry element to a sane insight — a bundle that deserialized
@@ -780,7 +717,10 @@ bool ServeEngine::Reload(TrainedBundle bundle, std::string* error) {
     artifact_version_.store(cand->version, std::memory_order_release);
   }
   // The old model's answers are stale the instant the swap is visible.
-  CacheClear();
+  cache_.Clear();
+  if (obs::Enabled()) {
+    obs::MetricsRegistry::Global().GetGauge("serve.cache.entries").Set(0);
+  }
   reload_ok_.fetch_add(1, std::memory_order_relaxed);
   if (obs::Enabled()) {
     obs::MetricsRegistry::Global().GetCounter("serve.reload.ok").Add(1);
@@ -909,9 +849,17 @@ std::string ServeEngine::StatsJson() const {
       j += "\"transport\":" + transport_stats_() + ",";
     }
   }
+  j += "\"program_memo\":" + ProgramMemoJson() + ",";
   j += "\"metrics\":" + obs::MetricsRegistry::Global().ToJson();
   j += "}";
   return j;
+}
+
+std::string ServeEngine::ProgramMemoJson() const {
+  return "{\"capacity\":" + std::to_string(opts_.cache_capacity) +
+         ",\"entries\":" + std::to_string(program_memo_entries()) +
+         ",\"hits\":" + std::to_string(memo_hits_.load(std::memory_order_relaxed)) +
+         ",\"misses\":" + std::to_string(memo_misses_.load(std::memory_order_relaxed)) + "}";
 }
 
 std::string ServeEngine::HealthJson() const {
@@ -948,6 +896,7 @@ std::string ServeEngine::HealthJson() const {
        ",\"capacity\":" + std::to_string(opts_.cache_capacity) +
        ",\"hits\":" + std::to_string(hits) + ",\"misses\":" + std::to_string(misses) +
        ",\"hit_rate\":" + obs::JsonNumber(hit_rate) + "},";
+  j += "\"program_memo\":" + ProgramMemoJson() + ",";
   j += "\"slo\":{\"window_requests\":" + std::to_string(slo.count) +
        ",\"p50_us\":" + obs::JsonNumber(slo.p50_us) +
        ",\"p90_us\":" + obs::JsonNumber(slo.p90_us) +

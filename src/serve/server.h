@@ -9,23 +9,31 @@
 //   * Per-request deadlines: a request that expires while queued is answered
 //     with kDeadlineExceeded without being dispatched; one that finishes late
 //     still succeeds but bumps the serve.deadline.overruns counter.
-//   * Micro-batching: the dispatcher drains up to max_batch requests,
-//     resolves them and probes the cache, lowers the misses in parallel,
-//     runs per-block LSTM inference for the whole batch as one flattened
-//     (request, block) parallel map over the shared thread pool, then
-//     analyses the misses in parallel, one per pool worker: Analyze with the
-//     assembled prediction, encode, cache put and fulfil. The dispatcher
-//     itself stays single, so brownout and the backend switch change only
-//     between batches.
+//   * Batching: the dispatcher drains up to max_batch requests, resolves
+//     them and probes the cache, then runs the batch's misses in one
+//     parallel phase, one miss per pool worker: lower, look up the
+//     program's facts (prediction, accelerator class, NIC block costs) in
+//     the snapshot's program memo or compute and insert them, run the
+//     workload part of the analysis, encode, cache put and fulfil. The
+//     dispatcher itself stays single, so brownout and the backend switch
+//     change only between batches.
 //   * LRU result cache keyed by (program content hash, workload hash); a hit
 //     replays the cached encoded response body byte-for-byte (only the
 //     echoed request id differs), skipping analysis entirely.
+//   * Program memo: the LSTM prediction, algorithm identification and NIC
+//     compilation read only the NF's code (ClaraAnalyzer::AnalyzeProgram),
+//     so a miss on a program already seen under another workload reuses
+//     them. The memo is keyed by (program content hash, inference backend),
+//     so brownout's backend switch never serves facts computed under another
+//     backend; it holds cost-only NIC programs and is bounded by
+//     cache_capacity like the result cache (0 disables both).
 //   * Hot artifact reload: the trained model lives in an immutable
 //     ModelSnapshot behind a mutex-guarded shared_ptr. Reload() builds and
 //     canary-validates a candidate entirely off the serving path, then
-//     atomically swaps the pointer and clears the result cache; batches in
-//     flight finish on the snapshot they started with (they hold their own
-//     shared_ptr), so no request ever sees a half-swapped model. Rejected
+//     atomically swaps the pointer (the new snapshot brings an empty program
+//     memo) and clears the result cache; batches in flight finish on the
+//     snapshot they started with (they hold their own shared_ptr), so no
+//     request ever sees a half-swapped model. Rejected
 //     candidates (untrained, CRC-damaged, canary failure) leave the old
 //     snapshot serving. Each successful swap bumps artifact_version().
 //   * Brownout degradation: when the rolling SLO window flips degraded, a
@@ -38,15 +46,18 @@
 //     hold period, preventing enter/exit oscillation.
 //   * Instrumented via src/obs: serve.queue.depth, serve.batch.size,
 //     serve.cache.{hits,misses}, serve.latency_us (p50/p99), error/overrun
-//     counters, serve.reload.{ok,rejected}, serve.brownout.{entered,exited},
+//     counters, serve.program_memo.{hits,misses},
+//     serve.reload.{ok,rejected}, serve.brownout.{entered,exited},
 //     serve.shedded, plus the fault.* injection counters.
 //   * Telemetry plane: every request is traced end to end — per-stage spans
-//     (queue wait, program resolution, batched inference, analysis, encode)
+//     (queue wait, program resolution, program facts, analysis, encode)
 //     share the request's trace id in the global Chrome-trace sink, and the
-//     response carries a per-stage latency breakdown. A rolling-window SLO
-//     tracker (serve.slo.* gauges, --slo-p99-us gate) and a flight recorder
-//     of recent requests feed the control-plane Stats/Health/Dump/Reload
-//     frames, which HandleControl() answers immediately without queueing.
+//     response carries a per-stage latency breakdown. The serve.infer span
+//     and infer_us cover computing program facts, so they read 0 when the
+//     program memo answered. A rolling-window SLO tracker (serve.slo.*
+//     gauges, --slo-p99-us gate) and a flight recorder of recent requests
+//     feed the control-plane Stats/Health/Dump/Reload frames, which
+//     HandleControl() answers immediately without queueing.
 //
 // Malformed requests, unknown elements, expired deadlines, engine shutdown,
 // injected faults, and load shedding all degrade to structured error
@@ -60,18 +71,17 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/analyzer.h"
 #include "src/obs/flight.h"
 #include "src/obs/slo.h"
 #include "src/serve/brownout.h"
+#include "src/serve/lru.h"
 #include "src/serve/proto.h"
 
 namespace clara {
@@ -81,6 +91,8 @@ struct ServeOptions {
   NicConfig nic;
   size_t queue_capacity = 64;
   size_t max_batch = 8;
+  // Entries kept by the result cache, and by the program memo of each model
+  // snapshot; 0 disables both.
   size_t cache_capacity = 128;
   // Packets interpreted per request for workload-specific profiling (smaller
   // than the offline default: serving favors latency).
@@ -175,7 +187,8 @@ class ServeEngine {
   void SetTransportStatsProvider(std::function<std::string()> provider);
   // Metrics registry snapshot as one JSON object.
   std::string StatsJson() const;
-  // Queue depth, cache hit rate, artifact version, uptime, SLO window state.
+  // Queue depth, cache and program-memo hit counts, artifact version,
+  // uptime, SLO window state.
   std::string HealthJson() const;
   // Flight-recorder contents (most recent requests, oldest first).
   std::string DumpJson() const;
@@ -184,7 +197,9 @@ class ServeEngine {
   std::string HandleControl(std::string_view payload);
 
   bool running() const { return running_; }
-  size_t cache_entries() const;
+  size_t cache_entries() const { return cache_.size(); }
+  // Program facts memoized by the current snapshot.
+  size_t program_memo_entries() const { return Model()->program_memo.size(); }
   // The current snapshot's analyzer. In-process/test convenience: the
   // reference is only stable while no concurrent Reload() swaps the model.
   const ClaraAnalyzer& analyzer() const { return Model()->analyzer; }
@@ -195,13 +210,21 @@ class ServeEngine {
  private:
   using Clock = std::chrono::steady_clock;
 
-  // An immutable serving model: analyzer + the generation it belongs to.
-  // Swapped wholesale by Reload(); readers pin it with a shared_ptr copy.
+  // A serving model: analyzer, the generation it belongs to, and the program
+  // facts it computed. Swapped wholesale by Reload(); readers pin it with a
+  // shared_ptr copy. While shared, only the memo (under its own lock) and
+  // the dispatcher's between-batch backend switch change it.
   struct ModelSnapshot {
-    ModelSnapshot(AnalyzerOptions opts, TrainedBundle bundle, uint64_t ver)
-        : analyzer(std::move(opts), std::move(bundle)), version(ver) {}
+    ModelSnapshot(AnalyzerOptions opts, TrainedBundle bundle, uint64_t ver,
+                  size_t memo_capacity)
+        : analyzer(std::move(opts), std::move(bundle)),
+          version(ver),
+          program_memo(memo_capacity) {}
     ClaraAnalyzer analyzer;
     uint64_t version;
+    // AnalyzeProgram results keyed by (program fingerprint, inference
+    // backend).
+    LruMap<std::shared_ptr<const ProgramFacts>> program_memo;
   };
 
   // One named sub-interval of a request's lifetime, recorded while the batch
@@ -232,6 +255,9 @@ class ServeEngine {
   // several pool workers at once for distinct slots.
   void Fulfill(Pending& p, InsightResponse resp);
 
+  // Program memo size and hit counts, as one JSON object.
+  std::string ProgramMemoJson() const;
+
   // Pins the current model snapshot.
   std::shared_ptr<ModelSnapshot> Model() const;
   // Validates a candidate bundle off the serving path (trained() + canary
@@ -253,21 +279,23 @@ class ServeEngine {
   // Microseconds since engine construction (the SLO/flight timeline).
   int64_t NowUs() const;
 
-  std::string CacheGet(uint64_t program_hash, uint64_t workload_hash);
   // `version` is the model generation the body was computed with; stale
   // puts (an in-flight batch finishing after a reload) are dropped.
   void CachePut(uint64_t program_hash, uint64_t workload_hash, std::string body,
                 uint64_t version);
-  void CacheClear();
+  // The facts of the lowered `nf` under the snapshot's current backend: from
+  // the memo, or computed (recording a serve.infer span on `p`) and
+  // inserted.
+  std::shared_ptr<const ProgramFacts> Facts(ModelSnapshot& model, uint64_t program_hash,
+                                            const NfInstance& nf, Pending& p);
 
   ServeOptions opts_;
   // ProgramFingerprint of every ElementRegistry() entry, in registry order:
   // a by-name cache hit needs neither the program nor its source text.
   std::vector<uint64_t> element_fingerprints_;
 
-  // Serving model. model_mu_ guards only the pointer swap; the snapshot
-  // itself is immutable while shared (the dispatcher-owned backend switch
-  // happens strictly between batches).
+  // Serving model. model_mu_ guards only the pointer swap (see
+  // ModelSnapshot for what changes while a snapshot is shared).
   mutable std::mutex model_mu_;
   std::shared_ptr<ModelSnapshot> model_;
   std::string reload_path_;  // guarded by model_mu_
@@ -297,6 +325,8 @@ class ServeEngine {
   std::atomic<uint64_t> errors_{0};
   std::atomic<uint64_t> cache_hits_{0};
   std::atomic<uint64_t> cache_misses_{0};
+  std::atomic<uint64_t> memo_hits_{0};
+  std::atomic<uint64_t> memo_misses_{0};
 
   // Transport stats callback (see SetTransportStatsProvider).
   mutable std::mutex transport_mu_;
@@ -309,15 +339,8 @@ class ServeEngine {
   bool running_ = false;
   std::thread dispatcher_;
 
-  // LRU cache: list front = most recent; map values point into the list.
-  struct CacheEntry {
-    uint64_t key_hi;
-    uint64_t key_lo;
-    std::string body;
-  };
-  mutable std::mutex cache_mu_;
-  std::list<CacheEntry> lru_;
-  std::unordered_map<uint64_t, std::list<CacheEntry>::iterator> cache_;
+  // Encoded response bodies keyed by (program hash, workload hash).
+  LruMap<std::string> cache_;
 };
 
 }  // namespace serve

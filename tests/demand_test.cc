@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/coalescing.h"
+#include "src/core/placement.h"
 #include "src/elements/elements.h"
 #include "src/nic/backend.h"
 
@@ -108,6 +110,53 @@ TEST(Demand, LargeFlowTableCachesPoorlyUnderSmallFlows) {
     }
   }
   EXPECT_TRUE(saw_map);
+}
+
+void ExpectSameDemand(const NfDemand& a, const NfDemand& b, const std::string& what) {
+  EXPECT_EQ(a.name, b.name) << what;
+  EXPECT_EQ(a.compute_cycles, b.compute_cycles) << what;
+  EXPECT_EQ(a.engine_cycles, b.engine_cycles) << what;
+  EXPECT_EQ(a.pkt_accesses, b.pkt_accesses) << what;
+  EXPECT_EQ(a.pkt_words_per_access, b.pkt_words_per_access) << what;
+  EXPECT_EQ(a.wire_bytes, b.wire_bytes) << what;
+  ASSERT_EQ(a.state.size(), b.state.size()) << what;
+  for (size_t i = 0; i < a.state.size(); ++i) {
+    const StateDemand& x = a.state[i];
+    const StateDemand& y = b.state[i];
+    EXPECT_EQ(x.name, y.name) << what;
+    EXPECT_EQ(x.accesses_per_pkt, y.accesses_per_pkt) << what << " " << x.name;
+    EXPECT_EQ(x.words_per_access, y.words_per_access) << what << " " << x.name;
+    EXPECT_EQ(x.size_bytes, y.size_bytes) << what << " " << x.name;
+    EXPECT_EQ(x.region, y.region) << what << " " << x.name;
+    EXPECT_EQ(x.cache_hit_rate, y.cache_hit_rate) << what << " " << x.name;
+  }
+}
+
+// The serving engine memoizes DemandCosts of each program's NIC code: for
+// every element, workload and placement/coalescing choice, demand built from
+// those costs must equal demand built from the full compiled program.
+TEST(Demand, CostOnlyProgramBuildsTheSameDemand) {
+  NicConfig cfg;
+  for (const ElementInfo& e : ElementRegistry()) {
+    for (const WorkloadSpec& w : {WorkloadSpec::SmallFlows(), WorkloadSpec::LargeFlows()}) {
+      Profiled pr = ProfileElement(e.make(), w, 500);
+      NicProgram costs = DemandCosts(pr.nic);
+      ASSERT_EQ(costs.blocks.size(), pr.nic.blocks.size()) << e.name;
+      for (const NicBlock& b : costs.blocks) {
+        EXPECT_TRUE(b.instrs.empty() && b.moves.empty()) << e.name;
+      }
+      const Module& m = pr.nf->module();
+      const NfProfile& profile = pr.nf->profile();
+      DemandOptions tuned;
+      tuned.placement = PlaceState(m, profile, w, cfg).placement;
+      tuned.coalescing = SuggestCoalescing(m, profile).effects;
+      for (const DemandOptions& opts : {DemandOptions{}, tuned}) {
+        std::string what = e.name + (opts.placement.empty() ? " naive" : " tuned");
+        ExpectSameDemand(BuildDemand(m, costs, profile, w, cfg, opts),
+                         BuildDemand(m, pr.nic, profile, w, cfg, opts), what);
+      }
+    }
+  }
 }
 
 TEST(Demand, WordsPerAccessByKind) {

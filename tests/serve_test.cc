@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "src/lang/parse.h"
 #include "src/lang/printer.h"
 #include "src/ml/ensemble.h"
+#include "src/ml/kernels_f32.h"
 #include "src/ml/kmeans.h"
 #include "src/ml/knn.h"
 #include "src/ml/linear.h"
@@ -734,6 +736,167 @@ TEST(Engine, BatchOfMissesMatchesInProcessAnalyzeAtAnyThreadCount) {
   SetNumThreads(saved_threads);
 }
 
+// The number under `key` inside the `"program_memo":{...}` object of a
+// stats/health document.
+uint64_t MemoField(const std::string& json, const std::string& key) {
+  size_t obj = json.find("\"program_memo\":{");
+  EXPECT_NE(obj, std::string::npos) << json;
+  if (obj == std::string::npos) {
+    return 0;
+  }
+  size_t at = json.find("\"" + key + "\":", obj);
+  EXPECT_LT(at, json.find('}', obj)) << key << " in " << json;
+  return std::strtoull(json.c_str() + at + key.size() + 3, nullptr, 10);
+}
+
+// An in-process analyzer with the engine's options, for reference bodies.
+ClaraAnalyzer ReferenceAnalyzer(const serve::ServeOptions& opts) {
+  AnalyzerOptions aopts;
+  aopts.nic = opts.nic;
+  aopts.profile_packets = opts.profile_packets;
+  return ClaraAnalyzer(aopts, ReloadedBundle());
+}
+
+// A request for `element`, by name or as inline source; *program receives
+// the program the engine will analyse for it.
+serve::InsightRequest ProgramRequest(uint64_t id, const std::string& element,
+                                     bool inline_source, const WorkloadSpec& workload,
+                                     Program* program) {
+  serve::InsightRequest req;
+  req.id = id;
+  req.workload = workload;
+  *program = MakeElementByName(element);
+  if (inline_source) {
+    req.source = ToSource(*program);
+    ParseResult parsed = ParseProgram(req.source);
+    EXPECT_TRUE(parsed.ok) << element << ": " << parsed.error;
+    *program = std::move(parsed.program);
+  } else {
+    req.element = element;
+  }
+  return req;
+}
+
+// Batches that mix by-name and inline requests of the same elements over
+// several workloads: after a program's first miss its facts come from the
+// memo, and every answer must still equal in-process Analyze, at one thread
+// and at four.
+TEST(Engine, ProgramMemoAnswersMatchInProcessAnalyzeAcrossWorkloads) {
+  // udpcount goes by name only: its two-field map key renders as `key8`,
+  // which parses back as one 64-bit field and fails the type check.
+  const std::vector<std::pair<const char*, bool>> programs = {
+      {"mazunat", false}, {"mazunat", true}, {"udpcount", false},
+      {"aggcounter", false}, {"aggcounter", true}};
+  const size_t distinct_elements = 3;
+  const std::vector<WorkloadSpec> workloads = {
+      WorkloadSpec::SmallFlows(), WorkloadSpec::LargeFlows(), WorkloadSpec::SmallFlows(256),
+      WorkloadSpec::LargeFlows(1024)};
+  serve::ServeOptions opts = FastServeOptions();
+  ClaraAnalyzer reference = ReferenceAnalyzer(opts);
+  std::vector<serve::InsightRequest> reqs;
+  std::vector<std::string> want;
+  for (const WorkloadSpec& w : workloads) {
+    for (const auto& [element, inline_source] : programs) {
+      Program program;
+      reqs.push_back(ProgramRequest(reqs.size() + 1, element, inline_source, w, &program));
+      want.push_back(AnalyzeBody(reference, std::move(program), w, opts.nic));
+    }
+  }
+
+  const int saved_threads = NumThreads();
+  for (int threads : {1, 4}) {
+    SetNumThreads(threads);
+    serve::ServeEngine engine(ReloadedBundle(), opts);
+    std::vector<std::future<serve::InsightResponse>> futures;
+    for (const auto& req : reqs) {
+      futures.push_back(engine.Submit(serve::InsightRequest(req)));
+    }
+    engine.Start();
+    for (size_t i = 0; i < futures.size(); ++i) {
+      serve::InsightResponse resp = futures[i].get();
+      ASSERT_EQ(resp.error, serve::ErrorCode::kOk) << resp.error_message;
+      EXPECT_EQ(serve::EncodeResponseBody(resp), want[i])
+          << "request " << i + 1 << " at " << threads << " thread(s)";
+    }
+    engine.Stop();
+    std::string health = engine.HealthJson();
+    EXPECT_EQ(MemoField(health, "hits") + MemoField(health, "misses"), reqs.size()) << health;
+    // The first batch computes each program at most once per slot; every
+    // later batch finds all of them memoized.
+    EXPECT_GE(MemoField(health, "hits"), reqs.size() - opts.max_batch) << health;
+    EXPECT_GE(engine.program_memo_entries(), distinct_elements);
+    EXPECT_LE(engine.program_memo_entries(), programs.size());
+    EXPECT_EQ(MemoField(health, "entries"), engine.program_memo_entries());
+    EXPECT_EQ(MemoField(engine.StatsJson(), "capacity"), opts.cache_capacity);
+  }
+  SetNumThreads(saved_threads);
+}
+
+TEST(Engine, ReloadStartsAnEmptyProgramMemo) {
+  serve::ServeEngine engine(ReloadedBundle(), FastServeOptions());
+  ASSERT_EQ(engine.Handle(ElementRequest(1, "aggcounter")).error, serve::ErrorCode::kOk);
+  EXPECT_EQ(engine.program_memo_entries(), 1u);
+  std::string why;
+  ASSERT_TRUE(engine.Reload(ReloadedBundle(), &why)) << why;
+  EXPECT_EQ(engine.program_memo_entries(), 0u);
+  serve::InsightRequest other = ElementRequest(2, "aggcounter");
+  other.workload = WorkloadSpec::LargeFlows();
+  ASSERT_EQ(engine.Handle(std::move(other)).error, serve::ErrorCode::kOk);
+  EXPECT_EQ(engine.program_memo_entries(), 1u);
+  EXPECT_EQ(MemoField(engine.HealthJson(), "misses"), 2u);
+}
+
+TEST(Engine, ProgramMemoIsBoundedByTheCacheCapacity) {
+  serve::ServeOptions opts = FastServeOptions();
+  opts.cache_capacity = 4;
+  ClaraAnalyzer reference = ReferenceAnalyzer(opts);
+  serve::ServeEngine engine(ReloadedBundle(), opts);
+  const auto& registry = ElementRegistry();
+  ASSERT_GE(registry.size(), 10u);
+  // Ten distinct inline programs, then the first three again under a new
+  // workload: those were evicted and must be recomputed, still correctly.
+  std::vector<std::pair<std::string, WorkloadSpec>> order;
+  for (size_t i = 0; i < 10; ++i) {
+    order.emplace_back(registry[i].name, WorkloadSpec::SmallFlows());
+  }
+  for (size_t i = 0; i < 3; ++i) {
+    order.emplace_back(registry[i].name, WorkloadSpec::LargeFlows());
+  }
+  for (size_t i = 0; i < order.size(); ++i) {
+    Program program;
+    serve::InsightRequest req =
+        ProgramRequest(i + 1, order[i].first, /*inline_source=*/true, order[i].second, &program);
+    serve::InsightResponse resp = engine.Handle(std::move(req));
+    ASSERT_EQ(resp.error, serve::ErrorCode::kOk) << order[i].first << ": " << resp.error_message;
+    EXPECT_EQ(serve::EncodeResponseBody(resp),
+              AnalyzeBody(reference, std::move(program), order[i].second, opts.nic))
+        << order[i].first;
+    EXPECT_LE(engine.program_memo_entries(), 4u);
+  }
+  EXPECT_EQ(engine.program_memo_entries(), 4u);
+  EXPECT_EQ(MemoField(engine.HealthJson(), "misses"), order.size());
+}
+
+TEST(Engine, ZeroCacheCapacityKeepsNoProgramFacts) {
+  serve::ServeOptions opts = FastServeOptions();
+  opts.cache_capacity = 0;
+  ClaraAnalyzer reference = ReferenceAnalyzer(opts);
+  serve::ServeEngine engine(ReloadedBundle(), opts);
+  std::string want = AnalyzeBody(reference, MakeElementByName("udpcount"),
+                                 WorkloadSpec::SmallFlows(), opts.nic);
+  for (uint64_t id = 1; id <= 3; ++id) {
+    serve::InsightResponse resp = engine.Handle(ElementRequest(id, "udpcount"));
+    ASSERT_EQ(resp.error, serve::ErrorCode::kOk) << resp.error_message;
+    EXPECT_FALSE(resp.breakdown.cache_hit);
+    EXPECT_EQ(serve::EncodeResponseBody(resp), want);
+  }
+  EXPECT_EQ(engine.cache_entries(), 0u);
+  EXPECT_EQ(engine.program_memo_entries(), 0u);
+  std::string health = engine.HealthJson();
+  EXPECT_EQ(MemoField(health, "hits"), 0u) << health;
+  EXPECT_EQ(MemoField(health, "misses"), 3u) << health;
+}
+
 TEST(Engine, AdmissionControlRejectsWhenQueueIsFull) {
   serve::ServeOptions opts = FastServeOptions();
   opts.queue_capacity = 1;
@@ -1328,6 +1491,46 @@ TEST(Engine, BrownoutShedsOnlyLowPriorityCacheMisses) {
   serve::InsightResponse vip_resp = engine.Submit(std::move(vip)).get();
   EXPECT_EQ(vip_resp.error, serve::ErrorCode::kOk) << vip_resp.error_message;
   engine.Stop();
+}
+
+// Brownout switches inference to int8 where AVX2 dispatches; facts memoized
+// under f64 must not answer for int8, so the switch starts from a cold memo
+// and the answer matches an int8 in-process analysis.
+TEST(Engine, BrownoutBackendSwitchDoesNotReuseF64ProgramFacts) {
+  if (kernels::Avx2F32Kernels() == nullptr) {
+    GTEST_SKIP() << "brownout keeps f64 without AVX2";
+  }
+  serve::ServeOptions opts = FastServeOptions();
+  opts.slo_p99_us = 0.5;  // every real request busts the SLO
+  serve::ServeEngine engine(ReloadedBundle(), opts);
+  engine.Start();
+  ASSERT_EQ(engine.Submit(ElementRequest(1, "aggcounter")).get().error, serve::ErrorCode::kOk);
+  // The dispatcher flags brownout first and switches the backend right
+  // after; wait for both.
+  bool int8 = false;
+  for (int i = 0; i < 100 && !int8; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    int8 = engine.brownout_active() &&
+           engine.HealthJson().find("\"infer\":\"int8\"") != std::string::npos;
+  }
+  ASSERT_TRUE(int8) << "brownout never switched to int8";
+
+  serve::InsightRequest vip = ElementRequest(2, "aggcounter");
+  vip.workload = WorkloadSpec::LargeFlows();
+  vip.priority = 5;  // above the shed line
+  serve::InsightResponse resp = engine.Submit(std::move(vip)).get();
+  engine.Stop();
+  ASSERT_EQ(resp.error, serve::ErrorCode::kOk) << resp.error_message;
+  std::string health = engine.HealthJson();
+  EXPECT_EQ(MemoField(health, "hits"), 0u) << health;
+  EXPECT_EQ(MemoField(health, "misses"), 2u) << health;
+  EXPECT_EQ(engine.program_memo_entries(), 2u);
+
+  ClaraAnalyzer reference = ReferenceAnalyzer(opts);
+  reference.SetInferBackend(InferBackend::kInt8);
+  EXPECT_EQ(serve::EncodeResponseBody(resp),
+            AnalyzeBody(reference, MakeElementByName("aggcounter"), WorkloadSpec::LargeFlows(),
+                        opts.nic));
 }
 
 // ---- shutdown drain race ----

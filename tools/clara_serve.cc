@@ -22,11 +22,13 @@
 //                   path, so a second daemon refuses to start instead of
 //                   deleting a live sibling's socket.
 //
-// All requests buffered at once are micro-batched through the serving
-// engine, so N concurrent insight requests share one parallel per-block
-// inference pass and their analyses run in parallel (requests from
-// different connections batch together through the shared Submit() funnel). Malformed payloads and oversized frames get
-// structured error responses; SIGINT/SIGTERM shut the daemon down cleanly.
+// All requests buffered at once are batched through the serving engine, so
+// N concurrent cache misses are analysed in parallel (requests from
+// different connections batch together through the shared Submit() funnel),
+// and a program's prediction, accelerator class and NIC costs are computed
+// once and memoized (--cache=N bounds the memo as well as the result cache).
+// Malformed payloads and oversized frames get structured error responses;
+// SIGINT/SIGTERM shut the daemon down cleanly.
 //
 // Self-healing plane:
 //   * SIGHUP (or a control Reload frame) hot-reloads the bundle from
@@ -145,7 +147,7 @@ void MaybeReload(serve::ServeEngine& engine, const std::string& bundle_path) {
 
 // Serves one byte stream (pipe or accepted socket connection) until EOF or
 // shutdown. Frames buffered together are submitted together, so the engine
-// micro-batches them; responses are written back in request order.
+// batches them; responses are written back in request order.
 int ServeStream(serve::ServeEngine& engine, const std::string& bundle_path, int in_fd,
                 int out_fd) {
   serve::FrameReader reader;
